@@ -78,3 +78,46 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		t.Errorf("GET /metrics?format=json: status %d", code)
 	}
 }
+
+// TestMetricsConvergenceCounters checks that a regflip campaign's golden-
+// convergence counters reach both the JSON aggregates and the Prometheus
+// exposition.
+func TestMetricsConvergenceCounters(t *testing.T) {
+	ts, _ := newTestService(t)
+	v := postCampaign(t, ts, `{"app":"httpd","scenario":"Client4","faultModel":"regflip"}`)
+	waitDone(t, ts, v.ID)
+
+	var m metricsView
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", code)
+	}
+	cm := m.Campaigns[v.ID]
+	if cm.ConvergedRuns == 0 || cm.InstructionsSaved == 0 {
+		t.Fatalf("regflip campaign converged %d runs saving %d instructions, want both > 0",
+			cm.ConvergedRuns, cm.InstructionsSaved)
+	}
+	if m.ConvergedRuns != cm.ConvergedRuns || m.InstructionsSaved != cm.InstructionsSaved {
+		t.Errorf("aggregates %d/%d, want the campaign's %d/%d",
+			m.ConvergedRuns, m.InstructionsSaved, cm.ConvergedRuns, cm.InstructionsSaved)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //nolint:errcheck // test
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE campaignd_converged_runs_total counter",
+		fmt.Sprintf("campaignd_converged_runs_total %d\n", m.ConvergedRuns),
+		"# TYPE campaignd_instructions_saved_total counter",
+		fmt.Sprintf("campaignd_instructions_saved_total %d\n", m.InstructionsSaved),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("prometheus exposition missing %q", want)
+		}
+	}
+}

@@ -637,6 +637,12 @@ type metricsView struct {
 	CacheMisses  int64 `json:"cacheMisses,omitempty"`
 	CacheWrites  int64 `json:"cacheWrites,omitempty"`
 	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
+	// ConvergedRuns and InstructionsSaved sum the per-campaign golden-
+	// convergence counters (engine campaigns). Omitted while zero, like the
+	// cache counters, so campaigns without register faults keep the wire
+	// shape.
+	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
+	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 	// Running is the number of campaigns still executing.
 	Running int `json:"running"`
 	// WorkerShardsServed and WorkerRunsServed count work this daemon
@@ -683,6 +689,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			v.CacheMisses += m.CacheMisses
 			v.CacheWrites += m.CacheWrites
 			v.CacheInvalid += m.CacheInvalid
+			v.ConvergedRuns += m.ConvergedRuns
+			v.InstructionsSaved += m.InstructionsSaved
 		}
 		if !rn.terminal() {
 			v.Running++

@@ -2,7 +2,7 @@
 // study's injection experiments: a sharded, crash-safe, resumable executor
 // that replaces the naive one-run-per-experiment loop in internal/inject.
 //
-// Three ideas make it fast and durable:
+// Four ideas make it fast and durable:
 //
 //   - Snapshot fast-forward. All experiments that flip bits of the same
 //     target instruction share an identical golden prefix from _start to
@@ -23,6 +23,10 @@
 //   - Sharding. Experiments are grouped by target address and the groups
 //     are distributed over a worker pool, so snapshot reuse is conflict
 //     free and wall-clock scales with cores.
+//
+//   - Golden convergence. A register-fault run stops as soon as its whole
+//     state equals the fault-free session's at the same step; the rest
+//     of its outcome is the golden one (converge.go).
 //
 //   - Journaling. Every completed run is appended to a JSONL journal with
 //     periodic checkpoint records. Resume replays the journal, skips every
@@ -113,8 +117,10 @@ type Config struct {
 	// bit-identical either way.
 	NoUops bool
 	// NoDirtyTracking disables the VM's dirty-page bitmaps, forcing every
-	// snapshot restore to copy the full address space. Ablation knob;
-	// outcomes must be bit-identical either way.
+	// snapshot restore to copy the full address space. It also turns off
+	// the golden-convergence exit, which compares dirty pages, so every
+	// register-fault run executes to its end. Ablation knob; outcomes must
+	// be bit-identical either way.
 	NoDirtyTracking bool
 	// NoTraces disables superblock trace fusion, dispatching every
 	// retirement individually. Ablation knob; outcomes must be
@@ -203,6 +209,9 @@ type Engine struct {
 	traceExits       atomic.Int64 // fused traces that exited early
 	dirtyBytesCopied atomic.Int64 // bytes copied by O(dirty) restores
 	fullRestores     atomic.Int64 // full-image snapshot restores
+
+	convergedRuns     atomic.Int64 // runs stopped on rejoining their fault-free shadow
+	instructionsSaved atomic.Int64 // golden instructions those runs did not interpret
 
 	workers    atomic.Int64
 	busyNanos  atomic.Int64
@@ -326,6 +335,25 @@ type snapEntry struct {
 	// bytesAtActivation is the server-to-client byte count at the
 	// breakpoint (transient-window accounting starts here).
 	bytesAtActivation int
+}
+
+// endRun is the observable end of an injected run from this snapshot
+// that stopped with endErr.
+func (s *snapEntry) endRun(endErr error, m *vm.Machine, k *kernel.Kernel, granted bool) *classify.Run {
+	return &classify.Run{
+		Activated:       true,
+		Err:             endErr,
+		ServerBytes:     k.Transcript.ServerBytes(),
+		Granted:         granted,
+		ActivationSteps: s.activationSteps,
+		EndSteps:        m.Steps,
+	}
+}
+
+// result classifies a run from this snapshot, counting the bytes it sent
+// inside the transient window from activation on.
+func (s *snapEntry) result(golden *classify.Golden, ex inject.Experiment, run *classify.Run, shouldGrant bool) inject.Result {
+	return inject.ResultFromRun(golden, ex, run, shouldGrant, len(run.ServerBytes)-s.bytesAtActivation)
 }
 
 // captureSnapshots runs one golden sweep with every wave target's
@@ -631,6 +659,22 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		return wm
 	}
 
+	// A regflip group first runs its fault-free shadow, so that each
+	// injected run can stop as soon as it rejoins it (converge.go).
+	// Convergence compares dirty pages, so it needs dirty tracking.
+	var chk *convergenceChecker
+	var goldenEnd *classify.Run
+	if !e.cfg.NoDirtyTracking && convergible(exps, g.indices) {
+		var cps []checkpoint
+		var err error
+		if wm, cps, err = e.runShadow(wm, snap, golden); err != nil {
+			fail(fmt.Errorf("campaign: shadow at %#x: %w", g.addr, err))
+			return wm
+		}
+		chk = &convergenceChecker{cps: cps}
+		goldenEnd = snap.goldenEnd(golden)
+	}
+
 	for _, idx := range g.indices {
 		if ctx.Err() != nil {
 			return wm
@@ -638,23 +682,16 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		ex := exps[idx]
 		fresh := e.cfg.Scenario.New()
 		k2 := snap.k.NewKernel(fresh)
-		if wm == nil {
-			wm = snap.m.NewMachine(k2)
-			wm.NoICache = e.cfg.NoICache
-			wm.NoUops = e.cfg.NoUops
-			wm.NoDirtyTracking = e.cfg.NoDirtyTracking
-			wm.NoTraces = e.cfg.NoTraces
-		} else {
-			if err := wm.Restore(snap.m); err != nil {
-				fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
-				return wm
-			}
-			wm.Sys = k2
+		var sys vm.SyscallHandler = k2
+		if chk != nil {
+			*chk = convergenceChecker{k: k2, cps: chk.cps}
+			sys = chk
 		}
-		// The snapshot was captured mid-sweep: its own and later targets'
-		// breakpoints are still armed. The injected run must execute to
-		// its fate without stopping at any of them.
-		wm.ClearBreakpoints()
+		var err error
+		if wm, err = e.rewind(wm, snap, sys); err != nil {
+			fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
+			return wm
+		}
 		// The snapshot IS the breakpoint-stop state (EIP at the target), so
 		// applying the mutation here matches the naive debugger protocol for
 		// every kind: byte corruptions poke memory, transient skip/register
@@ -665,18 +702,20 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			return wm
 		}
 		endErr := wm.Run()
-		serverBytes := k2.Transcript.ServerBytes()
-		run := &classify.Run{
-			Activated:       true,
-			Err:             endErr,
-			ServerBytes:     serverBytes,
-			Granted:         fresh.Granted(),
-			ActivationSteps: snap.activationSteps,
-			EndSteps:        wm.Steps,
-		}
 		e.snapshotRuns.Add(1)
-		finish(idx, inject.ResultFromRun(golden, ex, run, e.cfg.Scenario.ShouldGrant,
-			len(serverBytes)-snap.bytesAtActivation))
+		shouldGrant := e.cfg.Scenario.ShouldGrant
+		if chk != nil && chk.at != 0 {
+			e.convergedRuns.Add(1)
+			e.instructionsSaved.Add(int64(golden.Steps - chk.at))
+			res := snap.result(golden, ex, goldenEnd, shouldGrant)
+			if onConverged != nil {
+				ran := snap.endRun(endErr, wm, k2, fresh.Granted())
+				onConverged(idx, res, snap.result(golden, ex, ran, shouldGrant))
+			}
+			finish(idx, res)
+			continue
+		}
+		finish(idx, snap.result(golden, ex, snap.endRun(endErr, wm, k2, fresh.Granted()), shouldGrant))
 	}
 	return wm
 }
@@ -780,6 +819,12 @@ type Metrics struct {
 	// Config.NoDirtyTracking).
 	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
 	FullRestores     int64 `json:"fullRestores"`
+	// ConvergedRuns counts register-fault runs stopped at a syscall entry
+	// where their whole state equalled the fault-free continuation's, and
+	// InstructionsSaved the golden instructions those runs therefore did
+	// not interpret (golden steps minus each convergence step).
+	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
+	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 	// RunsPerSec is fresh-run throughput over the campaign wall time.
 	RunsPerSec float64 `json:"runsPerSec"`
 	// Workers is the worker pool size.
@@ -810,6 +855,9 @@ func (e *Engine) Metrics() Metrics {
 		TraceExits:       e.traceExits.Load(),
 		DirtyBytesCopied: e.dirtyBytesCopied.Load(),
 		FullRestores:     e.fullRestores.Load(),
+
+		ConvergedRuns:     e.convergedRuns.Load(),
+		InstructionsSaved: e.instructionsSaved.Load(),
 	}
 	m.RunsTotal = m.SnapshotRuns + m.SynthesizedNA + m.NaiveRuns
 	if m.RunsTotal > 0 {

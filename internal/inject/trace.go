@@ -68,8 +68,9 @@ func TraceRun(app *target.App, sc target.Scenario, ex Experiment,
 	if !errors.As(runErr, &bp) {
 		return &Trace{End: runErr}, nil // never activated
 	}
-	if err := m.Mem.Poke(ex.Target.Addr, ex.CorruptedBytes()); err != nil {
-		return nil, fmt.Errorf("inject: trace poke: %w", err)
+	mut := ex.Mutation()
+	if err := mut.Apply(m, &ex.Target); err != nil {
+		return nil, fmt.Errorf("inject: trace: %w", err)
 	}
 	m.ClearBreakpoint(ex.Target.Addr)
 

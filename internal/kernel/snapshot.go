@@ -1,5 +1,7 @@
 package kernel
 
+import "bytes"
+
 // Snapshot is a checkpoint of one session's kernel state: the connection
 // transcript, the pending pipe bytes in both directions, output accounting,
 // and the sequence of server lines already delivered to the client. It is
@@ -66,4 +68,30 @@ func (s *Snapshot) NewKernel(fresh Client) *Kernel {
 		exitedEarly: s.exitedEarly,
 	}
 	return k
+}
+
+// Matches reports whether the kernel's session state equals the snapshot's
+// exactly: every transcript event, the pending bytes in both directions,
+// the delivered client lines, and the output and EOF accounting. The
+// client needs no comparison of its own: it is a deterministic state
+// machine driven solely by the delivered lines, so two clients of one
+// scenario that were fed the same lines are in the same state.
+func (k *Kernel) Matches(s *Snapshot) bool {
+	if k.MaxOutput != s.maxOutput || k.serverOut != s.serverOut ||
+		k.readsAtEOF != s.readsAtEOF || k.exitedEarly != s.exitedEarly ||
+		len(k.Transcript.Events) != len(s.events) || len(k.clientLines) != len(s.clientLines) ||
+		!bytes.Equal(k.inBuf, s.inBuf) || !bytes.Equal(k.lineBuf, s.lineBuf) {
+		return false
+	}
+	for i, e := range k.Transcript.Events {
+		if e.Dir != s.events[i].Dir || !bytes.Equal(e.Data, s.events[i].Data) {
+			return false
+		}
+	}
+	for i, l := range k.clientLines {
+		if l != s.clientLines[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -97,19 +97,25 @@ func (r *Region) copyDirtyFrom(src []byte) int {
 			continue
 		}
 		r.dirty[wi] = 0
-		base := uint32(wi) << (dirtyPageShift + 6)
 		for w != 0 {
 			b := uint32(bits.TrailingZeros64(w))
 			w &^= 1 << b
-			lo := base + b<<dirtyPageShift
-			hi := lo + dirtyPageSize
-			if hi > uint32(len(r.Data)) {
-				hi = uint32(len(r.Data))
-			}
+			lo, hi := r.page(uint32(wi)<<6 | b)
 			n += copy(r.Data[lo:hi], src[lo:hi])
 		}
 	}
 	return n
+}
+
+// page returns the byte range [lo, hi) of dirty page p; only a region's
+// last page can be short.
+func (r *Region) page(p uint32) (lo, hi uint32) {
+	lo = p << dirtyPageShift
+	hi = lo + dirtyPageSize
+	if hi > uint32(len(r.Data)) {
+		hi = uint32(len(r.Data))
+	}
+	return lo, hi
 }
 
 // dirtyPageCount returns the number of pages currently marked dirty.
