@@ -38,7 +38,7 @@ func renderPrometheus(v *metricsView) string {
 	counter("campaignd_cache_misses_total", "Content-addressed result store misses.", v.CacheMisses)
 	counter("campaignd_cache_writes_total", "Content-addressed result store entries written.", v.CacheWrites)
 	counter("campaignd_cache_invalid_total", "Content-addressed result store entries rejected as corrupt.", v.CacheInvalid)
-	counter("campaignd_converged_runs_total", "Register-fault runs stopped on rejoining the fault-free session.", v.ConvergedRuns)
+	counter("campaignd_converged_runs_total", "Runs stopped on rejoining the fault-free session.", v.ConvergedRuns)
 	counter("campaignd_instructions_saved_total", "Guest instructions converged runs did not interpret.", v.InstructionsSaved)
 	counter("campaignd_worker_shards_served_total", "Shards this daemon executed as a fleet worker.", v.WorkerShardsServed)
 	counter("campaignd_worker_runs_served_total", "Runs this daemon streamed as a fleet worker.", v.WorkerRunsServed)

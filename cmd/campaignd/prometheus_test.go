@@ -79,26 +79,32 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestMetricsConvergenceCounters checks that a regflip campaign's golden-
-// convergence counters reach both the JSON aggregates and the Prometheus
-// exposition.
+// TestMetricsConvergenceCounters checks that the golden-convergence
+// counters of an engine regflip campaign and a fleet bitflip campaign reach
+// both the JSON aggregates and the Prometheus exposition.
 func TestMetricsConvergenceCounters(t *testing.T) {
 	ts, _ := newTestService(t)
 	v := postCampaign(t, ts, `{"app":"httpd","scenario":"Client4","faultModel":"regflip"}`)
 	waitDone(t, ts, v.ID)
+	fv := postCampaign(t, ts, `{"app":"httpd","scenario":"Client1","workers":["loopback","loopback"],"shardRuns":64}`)
+	waitDone(t, ts, fv.ID)
 
 	var m metricsView
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", code)
 	}
-	cm := m.Campaigns[v.ID]
+	cm, fm := m.Campaigns[v.ID], m.Fleet[fv.ID]
 	if cm.ConvergedRuns == 0 || cm.InstructionsSaved == 0 {
 		t.Fatalf("regflip campaign converged %d runs saving %d instructions, want both > 0",
 			cm.ConvergedRuns, cm.InstructionsSaved)
 	}
-	if m.ConvergedRuns != cm.ConvergedRuns || m.InstructionsSaved != cm.InstructionsSaved {
-		t.Errorf("aggregates %d/%d, want the campaign's %d/%d",
-			m.ConvergedRuns, m.InstructionsSaved, cm.ConvergedRuns, cm.InstructionsSaved)
+	if fm.ConvergedRuns == 0 || fm.InstructionsSaved == 0 {
+		t.Fatalf("fleet bitflip campaign converged %d runs saving %d instructions, want both > 0",
+			fm.ConvergedRuns, fm.InstructionsSaved)
+	}
+	if m.ConvergedRuns != cm.ConvergedRuns+fm.ConvergedRuns || m.InstructionsSaved != cm.InstructionsSaved+fm.InstructionsSaved {
+		t.Errorf("aggregates %d/%d, want the campaigns' sums %d/%d", m.ConvergedRuns, m.InstructionsSaved,
+			cm.ConvergedRuns+fm.ConvergedRuns, cm.InstructionsSaved+fm.InstructionsSaved)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")

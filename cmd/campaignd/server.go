@@ -638,8 +638,8 @@ type metricsView struct {
 	CacheWrites  int64 `json:"cacheWrites,omitempty"`
 	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
 	// ConvergedRuns and InstructionsSaved sum the per-campaign golden-
-	// convergence counters (engine campaigns). Omitted while zero, like the
-	// cache counters, so campaigns without register faults keep the wire
+	// convergence counters (engine and fleet). Omitted while zero, like the
+	// cache counters, so campaigns in which no run converged keep the wire
 	// shape.
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
 	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
@@ -675,6 +675,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			v.CacheMisses += fm.CacheMisses
 			v.CacheWrites += fm.CacheWrites
 			v.CacheInvalid += fm.CacheInvalid
+			v.ConvergedRuns += fm.ConvergedRuns
+			v.InstructionsSaved += fm.InstructionsSaved
 		} else {
 			m := rn.engine().Metrics()
 			v.Campaigns[id] = m

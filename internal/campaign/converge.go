@@ -11,25 +11,26 @@ import (
 	"faultsec/internal/vm"
 )
 
-// Golden convergence. A transient register fault either derails the run or
-// is overwritten before it matters; in the second case the run soon holds
-// exactly the state of the fault-free run at the same step, and from there
-// determinism fixes the rest of its outcome. For every regflip group the
-// engine first runs one shadow — the group's activation snapshot continued
-// without a fault — recording a checkpoint at each syscall entry. Each
-// injected run then compares itself against the shadow's checkpoint at its
-// own syscall entries with the same step count, and stops on an exact
-// match: registers, EIP, flags and TSC first, then the kernel session, then
-// the union of both runs' dirty pages. Its result is built from the golden
-// end state instead of interpreting the remaining instructions. DESIGN.md
-// §3k has the soundness argument.
-//
-// Only MutReg groups qualify. A skip retires one instruction fewer than the
-// shadow, so its step count never meets a checkpoint; a byte corruption
-// leaves corrupted text that never equals the shadow's.
+// Golden convergence. Many injected runs either derail or soon hold
+// exactly the state of the fault-free session at the same step, and from
+// there determinism fixes the rest of their outcome. Once per campaign the
+// engine replays the fault-free session — the golden shadow — recording a
+// checkpoint at each syscall entry and, for every target, the last step at
+// which the session retires it. Each injected run then compares itself
+// against the checkpoint with its own step count at its syscall entries,
+// and stops on an exact match: registers, EIP, flags and TSC first, then
+// the kernel session, then every page either run wrote, skipping only the
+// bytes the injector poked. A persistent byte fault may stop only where the
+// session never again retires the corrupted instruction. The run's result
+// is built from the golden end state instead of interpreting the remaining
+// instructions. DESIGN.md §3k has the soundness argument.
 
-// errConverged ends an injected run that has rejoined its shadow.
+// errConverged ends an injected run that has rejoined the golden shadow.
 var errConverged = errors.New("campaign: run rejoined the fault-free shadow")
+
+// errShadowDiverged reports a golden shadow that did not end exactly like
+// the golden run. The campaign then converges nothing.
+var errShadowDiverged = errors.New("determinism violation")
 
 // onConverged, when non-nil, makes every converged run execute to its real
 // end as well; it receives the run's index, the result built from the
@@ -43,16 +44,70 @@ type checkpoint struct {
 	k *kernel.Snapshot
 }
 
-// shadowRecorder is the shadow's syscall handler: it checkpoints the
-// machine and the session at every syscall entry, then serves the call.
-type shadowRecorder struct {
-	k   *kernel.Kernel
+// shadow is a campaign's golden shadow. While the replay runs it is the
+// machine's syscall handler: it checkpoints the machine and the session
+// at every syscall entry, then serves the call.
+type shadow struct {
+	k   *kernel.Kernel // the replay's session; nil once the replay ends
 	cps []checkpoint
+	// retired maps each target address to the step count just after the
+	// session's last retirement of it (0: never retired).
+	retired map[uint32]uint64
 }
 
-func (r *shadowRecorder) Syscall(m *vm.Machine) error {
-	r.cps = append(r.cps, checkpoint{m: m.Checkpoint(), k: r.k.Snapshot()})
-	return r.k.Syscall(m)
+func (sh *shadow) Syscall(m *vm.Machine) error {
+	sh.cps = append(sh.cps, checkpoint{m: m.Checkpoint(), k: sh.k.Snapshot()})
+	return sh.k.Syscall(m)
+}
+
+// goldenShadow replays the fault-free session one step at a time on a
+// machine whose dirty tracking is armed at load, so every checkpoint holds
+// exactly the pages the session wrote since load. Two guards make the
+// replay prove what a persistent fault needs: text is mapped execute-only,
+// so a session that reads its own text faults, and every fetch must start
+// a valid instruction, so a session that jumps mid-instruction faults. A
+// replay that does not end exactly like the golden run returns an error
+// wrapping errShadowDiverged.
+func (e *Engine) goldenShadow(golden *classify.Golden, groups []group, fuel uint64) (*shadow, error) {
+	client := e.cfg.Scenario.New()
+	sh := &shadow{k: kernel.New(client), retired: make(map[uint32]uint64, len(groups))}
+	ld, err := e.cfg.App.Image.Load(sh, nil)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: shadow load: %w", err)
+	}
+	m := ld.Machine
+	m.Fuel = fuel
+	// One pass over the session gains little from predecoding, and the
+	// decode tables would be garbage as soon as the replay ends.
+	m.NoICache = true
+	if err := m.Restore(m.Snapshot()); err != nil {
+		return nil, fmt.Errorf("campaign: shadow: %w", err)
+	}
+	for _, r := range m.Mem.Regions() {
+		if r.Perm&vm.PermExec != 0 {
+			r.Perm = vm.PermExec
+		}
+	}
+	m.CFValid = inject.ValidInstructionStarts(e.cfg.App)
+
+	for i := range groups {
+		sh.retired[groups[i].addr] = 0
+	}
+	var endErr error
+	for endErr == nil {
+		if _, ok := sh.retired[m.EIP]; ok {
+			sh.retired[m.EIP] = m.Steps + 1
+		}
+		endErr = m.Step()
+	}
+	var exit *vm.ExitStatus
+	if !errors.As(endErr, &exit) || exit.Code != golden.ExitCode || m.Steps != golden.Steps ||
+		client.Granted() != golden.Granted || !bytes.Equal(sh.k.Transcript.ServerBytes(), golden.ServerBytes) {
+		return nil, fmt.Errorf("%w: golden shadow ended %v after %d steps, golden run exited %d after %d",
+			errShadowDiverged, endErr, m.Steps, golden.ExitCode, golden.Steps)
+	}
+	sh.k = nil
+	return sh, nil
 }
 
 // convergenceChecker is an injected run's syscall handler: before serving
@@ -65,19 +120,38 @@ type convergenceChecker struct {
 	// at increasing step counts in both runs, so the scan is amortized
 	// constant.
 	next int
+	// from is the first step count at which the run may stop: past the
+	// session's last retirement of a corrupted instruction, 0 for a
+	// transient fault.
+	from uint64
+	// skip and n delimit the poked bytes the memory compare ignores.
+	skip uint32
+	n    int
 	// at is the step count of the matching syscall entry, 0 until the run
 	// converges.
 	at uint64
 }
 
+// arm readies c for one run of mutation mut at addr on kernel k. It
+// reports false when the run cannot converge: a corrupted instruction the
+// shadow never retired, which no activated target is.
+func (c *convergenceChecker) arm(sh *shadow, k *kernel.Kernel, addr uint32, mut *inject.Mutation) bool {
+	*c = convergenceChecker{k: k, cps: sh.cps}
+	if mut.Kind == inject.MutBytes {
+		c.from, c.skip, c.n = sh.retired[addr], addr, len(mut.Bytes)
+		return c.from != 0
+	}
+	return true
+}
+
 func (c *convergenceChecker) Syscall(m *vm.Machine) error {
-	if c.at == 0 {
+	if c.at == 0 && m.Steps >= c.from {
 		for c.next < len(c.cps) && c.cps[c.next].m.Steps() < m.Steps {
 			c.next++
 		}
 		if c.next < len(c.cps) {
 			cp := &c.cps[c.next]
-			if m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m) {
+			if m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m, c.skip, c.n) {
 				c.at = m.Steps
 				if onConverged == nil {
 					return errConverged
@@ -86,17 +160,6 @@ func (c *convergenceChecker) Syscall(m *vm.Machine) error {
 		}
 	}
 	return c.k.Syscall(m)
-}
-
-// convergible reports whether a group's experiments all inject transient
-// register faults, the mutations the convergence exit applies to.
-func convergible(exps []inject.Experiment, indices []int) bool {
-	for _, idx := range indices {
-		if exps[idx].MutationKind() != inject.MutReg {
-			return false
-		}
-	}
-	return true
 }
 
 // rewind readies the worker machine for one run from snap with syscall
@@ -120,26 +183,6 @@ func (e *Engine) rewind(wm *vm.Machine, snap *snapEntry, sys vm.SyscallHandler) 
 	// without stopping at any of them.
 	wm.ClearBreakpoints()
 	return wm, nil
-}
-
-// runShadow runs the fault-free continuation of snap and returns its
-// syscall-entry checkpoints. Its end must reproduce the golden run; any
-// difference is a determinism violation and fails the campaign.
-func (e *Engine) runShadow(wm *vm.Machine, snap *snapEntry, golden *classify.Golden) (*vm.Machine, []checkpoint, error) {
-	client := e.cfg.Scenario.New()
-	rec := &shadowRecorder{k: snap.k.NewKernel(client)}
-	wm, err := e.rewind(wm, snap, rec)
-	if err != nil {
-		return wm, nil, err
-	}
-	endErr := wm.Run()
-	var exit *vm.ExitStatus
-	if !errors.As(endErr, &exit) || exit.Code != golden.ExitCode || wm.Steps != golden.Steps ||
-		client.Granted() != golden.Granted || !bytes.Equal(rec.k.Transcript.ServerBytes(), golden.ServerBytes) {
-		return wm, nil, fmt.Errorf("determinism violation: fault-free continuation from step %d ended %v after %d steps, golden run exited %d after %d",
-			snap.activationSteps, endErr, wm.Steps, golden.ExitCode, golden.Steps)
-	}
-	return wm, rec.cps, nil
 }
 
 // goldenEnd is the observable end of a run from this snapshot that

@@ -1,0 +1,156 @@
+package campaign_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"faultsec/internal/asm"
+	"faultsec/internal/campaign"
+	"faultsec/internal/encoding"
+	"faultsec/internal/image"
+	"faultsec/internal/target"
+)
+
+// silentClient never answers and never authenticates: the guard images
+// below only write to the connection.
+type silentClient struct{}
+
+func (silentClient) OnServerLine(string) []string { return nil }
+func (silentClient) Done() bool                   { return true }
+func (silentClient) Granted() bool                { return false }
+
+// Both guard images write a line, then observe the bytes of check's
+// conditional branch again after the session has retired the branch for
+// the last time: readsText loads them as data, jumpsMidInstruction jumps
+// into the branch and executes its displacement byte (0x90, a nop) as an
+// instruction. A bitflip run of that branch therefore holds the golden
+// state at the first write, except for the poked bytes, and still ends
+// differently from the golden run. Only the golden shadow's guards —
+// execute-only text and valid instruction starts — keep such runs from
+// converging.
+const (
+	readsTextSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	mov edx, 4
+	int 0x80
+	mov edx, [branch]
+	shr edx, 8
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+branch:
+	.db 0x74, 0x01
+	nop
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	jumpsMidInstructionSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	mov edx, 4
+	int 0x80
+	mov eax, 1
+	mov [flag], eax
+	mov eax, branch
+	inc eax
+	jmp eax
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+branch:
+	.db 0x74, 0x90
+	mov eax, [flag]
+	cmp eax, 0
+	jne second
+	ret
+second:
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	mov edx, 4
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+)
+
+func guardApp(t *testing.T, name, src string) (*target.App, target.Scenario) {
+	t.Helper()
+	obj, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	img, err := image.Link(obj)
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	sc := target.Scenario{Name: "Client1", New: func() target.Client { return silentClient{} }}
+	return &target.App{Name: name, Image: img, AuthFuncs: []string{"check"}, Scenarios: []target.Scenario{sc}}, sc
+}
+
+// TestGoldenConvergenceGuards checks that a program the persistent-fault
+// argument does not cover trips the golden shadow's guards: no run
+// converges, and Stats equal a run without dirty tracking, which never
+// converges.
+func TestGoldenConvergenceGuards(t *testing.T) {
+	for _, c := range []struct{ name, src string }{
+		{"readsText", readsTextSrc},
+		{"jumpsMidInstruction", jumpsMidInstructionSrc},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			app, sc := guardApp(t, c.name, c.src)
+			cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1}
+			eng := campaign.New(cfg)
+			got, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := eng.Metrics().ConvergedRuns; n != 0 {
+				t.Errorf("%d runs converged past the guard", n)
+			}
+			cfg.NoDirtyTracking = true
+			want, err := campaign.New(cfg).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stats differ from a run without convergence\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,16 +11,16 @@ import (
 	"faultsec/internal/target"
 )
 
-// TestShadowMustReproduceGolden checks the shadow's self-check: a fault-
-// free continuation that does not end exactly like the golden run is a
-// determinism violation, never a source of synthesized results.
+// TestShadowMustReproduceGolden checks the golden shadow's self-check: a
+// replay that does not end exactly like the golden run is a determinism
+// violation, never a source of synthesized results.
 func TestShadowMustReproduceGolden(t *testing.T) {
 	app, err := target.Build("ftpd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc, _ := app.Scenario("Client1")
-	e := New(Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip"})
+	e := New(Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86})
 	exps, err := e.enumerate()
 	if err != nil {
 		t.Fatal(err)
@@ -29,22 +30,19 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave := groupByTarget(exps, nil)[:1]
-	snaps, err := e.captureSnapshots(wave, nil, fuel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := snaps[wave[0].addr]
-	if snap == nil {
-		t.Fatal("first target never activates")
-	}
+	groups := groupByTarget(exps, nil)
 
-	wm, cps, err := e.runShadow(nil, snap, golden)
+	sh, err := e.goldenShadow(golden, groups, fuel)
 	if err != nil {
 		t.Fatalf("true golden: %v", err)
 	}
-	if len(cps) == 0 {
+	if len(sh.cps) == 0 {
 		t.Fatal("shadow recorded no checkpoints")
+	}
+	for _, g := range groups[:1] {
+		if sh.retired[g.addr] == 0 {
+			t.Errorf("target %#x: no last retirement recorded", g.addr)
+		}
 	}
 	for i, forge := range []func(g *classify.Golden){
 		func(g *classify.Golden) { g.Steps++ },
@@ -54,7 +52,8 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 	} {
 		forged := *golden
 		forge(&forged)
-		if _, _, err := e.runShadow(wm, snap, &forged); err == nil || !strings.Contains(err.Error(), "determinism violation") {
+		_, err := e.goldenShadow(&forged, groups, fuel)
+		if !errors.Is(err, errShadowDiverged) || !strings.Contains(err.Error(), "determinism violation") {
 			t.Errorf("forged golden %d: err = %v, want a determinism violation", i, err)
 		}
 	}

@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"context"
 	"errors"
+	"flag"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"faultsec/internal/campaign"
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
 	"faultsec/internal/vm"
@@ -28,22 +30,38 @@ func client1(t *testing.T, name string) (*target.App, target.Scenario) {
 	return app, sc
 }
 
+// convergeExhaustive makes the paranoid identity test run every fault
+// model's campaigns whole; by default the models other than regflip run a
+// sample of their experiments.
+var convergeExhaustive = flag.Bool("converge-exhaustive", false,
+	"run every fault model's paranoid convergence identity campaign whole")
+
 // TestGoldenConvergenceCounterPin pins how much of each x86 Client1 regflip
-// campaign the convergence exit skips. The counts are deterministic: a
-// change means runs converge at different steps, or not at all.
+// and bitflip campaign the convergence exit skips. The counts are
+// deterministic: a change means runs converge at different steps, or not
+// at all. Regflip rows are named by app alone and the others by
+// model/app, which keeps the regflip rows' test names stable.
 func TestGoldenConvergenceCounterPin(t *testing.T) {
 	for _, c := range []struct {
+		model     string
 		app       string
 		converged int64
 		saved     int64
 	}{
-		{"ftpd", 4128, 425_029_248},
-		{"sshd", 4220, 868_446_803},
-		{"httpd", 2514, 73_315_434},
+		{"regflip", "ftpd", 4128, 425_029_248},
+		{"regflip", "sshd", 4220, 868_446_803},
+		{"regflip", "httpd", 2514, 73_315_434},
+		{"bitflip", "ftpd", 191, 19_288_258},
+		{"bitflip", "sshd", 186, 11_816_229},
+		{"bitflip", "httpd", 111, 2_978_601},
 	} {
-		t.Run(c.app, func(t *testing.T) {
+		name := c.app
+		if c.model != "regflip" {
+			name = c.model + "/" + c.app
+		}
+		t.Run(name, func(t *testing.T) {
 			app, sc := client1(t, c.app)
-			eng := campaign.New(campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip"})
+			eng := campaign.New(campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: c.model})
 			if _, err := eng.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -56,51 +74,70 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 	}
 }
 
-// TestGoldenConvergenceParanoidIdentity proves the convergence exit exact:
-// with the paranoid hook every converged run also executes to its real
-// end, its executed Result must equal the one built from the golden end
-// state, and the Stats aggregated from executed results — exhaustive
-// execution — must equal the engine's, Results and CrashLatencies order
-// included.
+// TestGoldenConvergenceParanoidIdentity proves the convergence exit exact
+// for every fault model: with the paranoid hook every converged run also
+// executes to its real end, its executed Result must equal the one built
+// from the golden end state, and the Stats aggregated from executed
+// results — exhaustive execution — must equal the engine's, Results and
+// CrashLatencies order included. regflip rows run whole and are named
+// scheme/app, the others model/scheme/app, which keeps the regflip rows'
+// test names stable; the other models run every sampleStride-th
+// experiment unless -converge-exhaustive is set.
 func TestGoldenConvergenceParanoidIdentity(t *testing.T) {
-	for _, scheme := range []string{"x86", "encbranch"} {
-		for _, name := range []string{"ftpd", "sshd", "httpd"} {
-			t.Run(scheme+"/"+name, func(t *testing.T) {
-				app, sc := client1(t, name)
-				s, err := encoding.Parse(scheme)
-				if err != nil {
-					t.Fatal(err)
+	sampleStride := map[string]int{"bitflip": 1, "doublebit": 7, "byteflip": 1, "instskip": 1, "cmpskip": 1}
+	for _, model := range faultmodel.Names() {
+		for _, scheme := range []string{"x86", "encbranch"} {
+			for _, name := range []string{"ftpd", "sshd", "httpd"} {
+				row := scheme + "/" + name
+				if model != "regflip" {
+					row = model + "/" + row
 				}
-				var mu sync.Mutex
-				executed := make(map[int]inject.Result)
-				defer campaign.SetOnConverged(func(idx int, synthesized, ran inject.Result) {
-					if !reflect.DeepEqual(synthesized, ran) {
-						t.Errorf("run %d: converged result %+v, executed %+v", idx, synthesized, ran)
+				t.Run(row, func(t *testing.T) {
+					app, sc := client1(t, name)
+					s, err := encoding.Parse(scheme)
+					if err != nil {
+						t.Fatal(err)
 					}
-					mu.Lock()
-					executed[idx] = ran
-					mu.Unlock()
-				})()
-				eng := campaign.New(campaign.Config{App: app, Scenario: sc, Scheme: s, Model: "regflip", KeepResults: true})
-				got, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := eng.Metrics().ConvergedRuns; n == 0 || int(n) != len(executed) {
-					t.Fatalf("hook saw %d converged runs, engine counted %d", len(executed), n)
-				}
-				want := inject.NewStats(got.App, got.Scenario, got.Scheme, got.Model)
-				want.Results = append([]inject.Result(nil), got.Results...)
-				for idx, ran := range executed {
-					want.Results[idx] = ran
-				}
-				for _, r := range want.Results {
-					want.Add(r)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("stats differ from exhaustive execution\nwant: %+v\ngot:  %+v", statsSummary(want), statsSummary(got))
-				}
-			})
+					cfg := campaign.Config{App: app, Scenario: sc, Scheme: s, Model: model, KeepResults: true}
+					exps, err := campaign.EnumerateConfig(&cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if model != "regflip" && !*convergeExhaustive {
+						exps = sampleEvery(exps, sampleStride[model])
+					}
+					var mu sync.Mutex
+					executed := make(map[int]inject.Result)
+					defer campaign.SetOnConverged(func(idx int, synthesized, ran inject.Result) {
+						if !reflect.DeepEqual(synthesized, ran) {
+							t.Errorf("run %d: converged result %+v, executed %+v", idx, synthesized, ran)
+						}
+						mu.Lock()
+						executed[idx] = ran
+						mu.Unlock()
+					})()
+					eng := campaign.New(cfg)
+					got, err := eng.RunExperiments(context.Background(), exps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := eng.Metrics().ConvergedRuns
+					if int(n) != len(executed) || n == 0 && (model == "regflip" || model == "bitflip") {
+						t.Fatalf("hook saw %d converged runs, engine counted %d", len(executed), n)
+					}
+					want := inject.NewStats(got.App, got.Scenario, got.Scheme, got.Model)
+					want.Results = append([]inject.Result(nil), got.Results...)
+					for idx, ran := range executed {
+						want.Results[idx] = ran
+					}
+					for _, r := range want.Results {
+						want.Add(r)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("stats differ from exhaustive execution\nwant: %+v\ngot:  %+v", statsSummary(want), statsSummary(got))
+					}
+				})
+			}
 		}
 	}
 }

@@ -24,9 +24,12 @@
 //     are distributed over a worker pool, so snapshot reuse is conflict
 //     free and wall-clock scales with cores.
 //
-//   - Golden convergence. A register-fault run stops as soon as its whole
-//     state equals the fault-free session's at the same step; the rest
-//     of its outcome is the golden one (converge.go).
+//   - Golden convergence. One fault-free replay per campaign checkpoints
+//     the session at every syscall entry. A run stops as soon as its
+//     whole state equals the session's at the same step, apart from the
+//     bytes a persistent fault poked that the session never retires or
+//     reads again; the rest of its outcome is the golden one
+//     (converge.go).
 //
 //   - Journaling. Every completed run is appended to a JSONL journal with
 //     periodic checkpoint records. Resume replays the journal, skips every
@@ -119,8 +122,8 @@ type Config struct {
 	// NoDirtyTracking disables the VM's dirty-page bitmaps, forcing every
 	// snapshot restore to copy the full address space. It also turns off
 	// the golden-convergence exit, which compares dirty pages, so every
-	// register-fault run executes to its end. Ablation knob; outcomes must
-	// be bit-identical either way.
+	// run executes to its end. Ablation knob; outcomes must be
+	// bit-identical either way.
 	NoDirtyTracking bool
 	// NoTraces disables superblock trace fusion, dispatching every
 	// retirement individually. Ablation knob; outcomes must be
@@ -210,7 +213,7 @@ type Engine struct {
 	dirtyBytesCopied atomic.Int64 // bytes copied by O(dirty) restores
 	fullRestores     atomic.Int64 // full-image snapshot restores
 
-	convergedRuns     atomic.Int64 // runs stopped on rejoining their fault-free shadow
+	convergedRuns     atomic.Int64 // runs stopped on rejoining the golden shadow
 	instructionsSaved atomic.Int64 // golden instructions those runs did not interpret
 
 	workers    atomic.Int64
@@ -520,6 +523,17 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 		}
 	}
 
+	// One golden shadow serves every group's convergence exit. Its memory
+	// compare needs dirty tracking, and only snapshot runs converge.
+	var sh *shadow
+	if !e.cfg.NoDirtyTracking && !e.cfg.NoSnapshot && len(groups) > 0 && runCtx.Err() == nil {
+		if sh, err = e.goldenShadow(golden, groups, fuel); errors.Is(err, errShadowDiverged) {
+			sh = nil
+		} else if err != nil {
+			fail(err)
+		}
+	}
+
 	workers := e.cfg.effectiveWorkers(len(groups))
 	e.workers.Store(int64(workers))
 
@@ -568,7 +582,7 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 				for gi := range gch {
 					begin := time.Now()
 					wm = e.runGroup(runCtx, wm, &wave[gi], exps, golden, naRun,
-						snaps[wave[gi].addr], cfValid, fuel, finish, fail)
+						snaps[wave[gi].addr], sh, cfValid, fuel, finish, fail)
 					e.busyNanos.Add(time.Since(begin).Nanoseconds())
 					e.harvestCounters(wm)
 					if runCtx.Err() == nil {
@@ -625,7 +639,7 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 // the (possibly newly allocated) reusable worker machine.
 func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	exps []inject.Experiment, golden *classify.Golden, naRun *classify.Run,
-	snap *snapEntry, cfValid map[uint32]struct{}, fuel uint64,
+	snap *snapEntry, sh *shadow, cfValid map[uint32]struct{}, fuel uint64,
 	finish func(int, inject.Result), fail func(error)) *vm.Machine {
 
 	if e.cfg.NoSnapshot {
@@ -659,33 +673,20 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		return wm
 	}
 
-	// A regflip group first runs its fault-free shadow, so that each
-	// injected run can stop as soon as it rejoins it (converge.go).
-	// Convergence compares dirty pages, so it needs dirty tracking.
-	var chk *convergenceChecker
-	var goldenEnd *classify.Run
-	if !e.cfg.NoDirtyTracking && convergible(exps, g.indices) {
-		var cps []checkpoint
-		var err error
-		if wm, cps, err = e.runShadow(wm, snap, golden); err != nil {
-			fail(fmt.Errorf("campaign: shadow at %#x: %w", g.addr, err))
-			return wm
-		}
-		chk = &convergenceChecker{cps: cps}
-		goldenEnd = snap.goldenEnd(golden)
-	}
-
+	var chk convergenceChecker
+	goldenEnd := snap.goldenEnd(golden)
 	for _, idx := range g.indices {
 		if ctx.Err() != nil {
 			return wm
 		}
 		ex := exps[idx]
+		mut := ex.Mutation()
 		fresh := e.cfg.Scenario.New()
 		k2 := snap.k.NewKernel(fresh)
 		var sys vm.SyscallHandler = k2
-		if chk != nil {
-			*chk = convergenceChecker{k: k2, cps: chk.cps}
-			sys = chk
+		converging := sh != nil && chk.arm(sh, k2, g.addr, &mut)
+		if converging {
+			sys = &chk
 		}
 		var err error
 		if wm, err = e.rewind(wm, snap, sys); err != nil {
@@ -696,7 +697,6 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		// applying the mutation here matches the naive debugger protocol for
 		// every kind: byte corruptions poke memory, transient skip/register
 		// faults perturb the restored machine state directly.
-		mut := ex.Mutation()
 		if err := mut.Apply(wm, &ex.Target); err != nil {
 			fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
 			return wm
@@ -704,7 +704,7 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		endErr := wm.Run()
 		e.snapshotRuns.Add(1)
 		shouldGrant := e.cfg.Scenario.ShouldGrant
-		if chk != nil && chk.at != 0 {
+		if converging && chk.at != 0 {
 			e.convergedRuns.Add(1)
 			e.instructionsSaved.Add(int64(golden.Steps - chk.at))
 			res := snap.result(golden, ex, goldenEnd, shouldGrant)
@@ -819,8 +819,9 @@ type Metrics struct {
 	// Config.NoDirtyTracking).
 	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
 	FullRestores     int64 `json:"fullRestores"`
-	// ConvergedRuns counts register-fault runs stopped at a syscall entry
-	// where their whole state equalled the fault-free continuation's, and
+	// ConvergedRuns counts runs stopped at a syscall entry where their
+	// whole state equalled the fault-free session's, apart from poked
+	// bytes the session never retires or reads again, and
 	// InstructionsSaved the golden instructions those runs therefore did
 	// not interpret (golden steps minus each convergence step).
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`

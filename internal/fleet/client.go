@@ -55,28 +55,29 @@ func (w *HTTPWorker) Healthy(ctx context.Context) error {
 }
 
 // RunShard posts the spec and consumes the NDJSON result stream. It
-// returns nil only after the terminating done-line arrives with a run
-// count matching the lines seen; a truncated stream (worker crash), an
-// error line (engine failure), a non-200 status, or a transport error all
-// fail the attempt for the coordinator to retry.
-func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) error {
+// returns a nil error, with the done-line's work counters, only after the
+// terminating done-line arrives with a run count matching the lines seen;
+// a truncated stream (worker crash), an error line (engine failure), a
+// non-200 status, or a transport error all fail the attempt for the
+// coordinator to retry.
+func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (ShardWork, error) {
 	body, err := json.Marshal(&spec)
 	if err != nil {
-		return err
+		return ShardWork{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+PathShards, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return ShardWork{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("fleet: %s: %w", w.base, err)
+		return ShardWork{}, fmt.Errorf("fleet: %s: %w", w.base, err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // stream
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("fleet: %s shard %d: status %d: %s",
+		return ShardWork{}, fmt.Errorf("fleet: %s shard %d: status %d: %s",
 			w.base, spec.Shard, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 
@@ -86,30 +87,30 @@ func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int
 	for sc.Scan() {
 		var line shardLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return fmt.Errorf("fleet: %s shard %d: corrupt stream line: %w", w.base, spec.Shard, err)
+			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: corrupt stream line: %w", w.base, spec.Shard, err)
 		}
 		switch {
 		case line.Error != "":
-			return fmt.Errorf("fleet: %s shard %d: worker error: %s", w.base, spec.Shard, line.Error)
+			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: worker error: %s", w.base, spec.Shard, line.Error)
 		case line.Done:
 			if line.Runs != runs {
-				return fmt.Errorf("fleet: %s shard %d: done-line counts %d runs, saw %d",
+				return ShardWork{}, fmt.Errorf("fleet: %s shard %d: done-line counts %d runs, saw %d",
 					w.base, spec.Shard, line.Runs, runs)
 			}
-			return nil
+			return line.ShardWork, nil
 		case line.Result != nil:
 			runs++
 			emit(line.Idx, line.Result)
 		default:
-			return fmt.Errorf("fleet: %s shard %d: unrecognized stream line %q",
+			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: unrecognized stream line %q",
 				w.base, spec.Shard, sc.Text())
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("fleet: %s shard %d: stream: %w", w.base, spec.Shard, err)
+		return ShardWork{}, fmt.Errorf("fleet: %s shard %d: stream: %w", w.base, spec.Shard, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return ShardWork{}, err
 	}
-	return errors.New("fleet: " + w.base + ": stream truncated before done-line (worker died mid-shard?)")
+	return ShardWork{}, errors.New("fleet: " + w.base + ": stream truncated before done-line (worker died mid-shard?)")
 }

@@ -39,13 +39,16 @@ type Coordinator struct {
 	done         atomic.Int64
 	adopted      atomic.Int64
 	cacheAdopted atomic.Int64
-	counts      [6]atomic.Int64
-	freshRuns   atomic.Int64
-	retries     atomic.Int64
-	speculative atomic.Int64
-	duplicates  atomic.Int64
-	startNanos  atomic.Int64
-	endNanos    atomic.Int64
+	counts       [6]atomic.Int64
+	freshRuns    atomic.Int64
+	retries      atomic.Int64
+	speculative  atomic.Int64
+	duplicates   atomic.Int64
+	// converged and saved sum the work counters of settled shards only.
+	converged  atomic.Int64
+	saved      atomic.Int64
+	startNanos atomic.Int64
+	endNanos   atomic.Int64
 }
 
 // workerState is the coordinator's view of one worker.
@@ -347,12 +350,12 @@ func (c *Coordinator) runner(ctx context.Context, ws *workerState) {
 		spec := c.specFor(sh)
 		actx, acancel := context.WithTimeout(ctx, c.cfg.leaseTimeout())
 		c.setAttemptCancel(ws, acancel)
-		err := ws.w.RunShard(actx, spec, func(idx int, wr *campaign.WireResult) {
+		work, err := ws.w.RunShard(actx, spec, func(idx int, wr *campaign.WireResult) {
 			c.deliver(sh, ws, idx, wr)
 		})
 		c.setAttemptCancel(ws, nil)
 		acancel()
-		c.settle(ctx, sh, ws, err)
+		c.settle(ctx, sh, ws, work, err)
 	}
 }
 
@@ -485,11 +488,12 @@ func (c *Coordinator) deliver(sh *shardState, ws *workerState, idx int, wr *camp
 }
 
 // settle closes out one attempt. Success marks the shard done (after
-// checking the stream really covered every pending index); failure
-// re-leases it with capped exponential backoff until MaxAttempts, unless
-// another attempt already finished the shard or the campaign is shutting
-// down.
-func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerState, err error) {
+// checking the stream really covered every pending index) and adds the
+// attempt's work counters, which a failed or duplicate attempt never
+// does; failure re-leases it with capped exponential backoff until
+// MaxAttempts, unless another attempt already finished the shard or the
+// campaign is shutting down.
+func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerState, work ShardWork, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sh.runners--
@@ -507,6 +511,8 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 			sh.done = true
 			c.shardsOut++
 			ws.shardsDone.Add(1)
+			c.converged.Add(work.ConvergedRuns)
+			c.saved.Add(work.InstructionsSaved)
 			// Persist the shard's freshly executed target groups; a group
 			// whose entry already exists (an adopted hit, or a concurrent
 			// writer) is a verified no-op inside StoreGroup.

@@ -163,7 +163,7 @@ func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var mu sync.Mutex
 	var lines []line
-	err := h.local.RunShard(r.Context(), spec, func(idx int, res *campaign.WireResult) {
+	_, err := h.local.RunShard(r.Context(), spec, func(idx int, res *campaign.WireResult) {
 		mu.Lock()
 		lines = append(lines, line{Idx: idx, Result: res})
 		mu.Unlock()
@@ -231,10 +231,10 @@ type stuckWorker struct{ leased atomic.Int64 }
 
 func (s *stuckWorker) Name() string                  { return "stuck" }
 func (s *stuckWorker) Healthy(context.Context) error { return nil }
-func (s *stuckWorker) RunShard(ctx context.Context, spec fleet.ShardSpec, emit func(int, *campaign.WireResult)) error {
+func (s *stuckWorker) RunShard(ctx context.Context, spec fleet.ShardSpec, emit func(int, *campaign.WireResult)) (fleet.ShardWork, error) {
 	s.leased.Add(1)
 	<-ctx.Done()
-	return ctx.Err()
+	return fleet.ShardWork{}, ctx.Err()
 }
 
 func TestFleetSpeculatesOnStraggler(t *testing.T) {

@@ -19,6 +19,11 @@ type Metrics struct {
 	CacheMisses  int64 `json:"cacheMisses,omitempty"`
 	CacheWrites  int64 `json:"cacheWrites,omitempty"`
 	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
+	// ConvergedRuns and InstructionsSaved sum the golden-convergence
+	// counters of settled shards (see campaign.Metrics); retried and
+	// speculative duplicate attempts are not counted.
+	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
+	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 	// RunsTotal counts fresh (non-adopted) runs delivered and accepted.
 	RunsTotal  int64   `json:"runsTotal"`
 	RunsPerSec float64 `json:"runsPerSec"`
@@ -61,6 +66,8 @@ func (c *Coordinator) Metrics() Metrics {
 		DuplicateRuns:       c.duplicates.Load(),
 		JournalAdopted:      c.adopted.Load(),
 		RunsTotal:           c.freshRuns.Load(),
+		ConvergedRuns:       c.converged.Load(),
+		InstructionsSaved:   c.saved.Load(),
 		WorkersTotal:        len(c.workers),
 	}
 	if sec := c.elapsed().Seconds(); sec > 0 {

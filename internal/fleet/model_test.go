@@ -124,7 +124,7 @@ func TestWorkerRefusesModelSkew(t *testing.T) {
 
 	unknown := base
 	unknown.Model = "nosuch"
-	err := lb.RunShard(context.Background(), unknown, func(int, *campaign.WireResult) {
+	_, err := lb.RunShard(context.Background(), unknown, func(int, *campaign.WireResult) {
 		t.Error("refused shard emitted a result")
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown model") {
@@ -136,7 +136,7 @@ func TestWorkerRefusesModelSkew(t *testing.T) {
 	skew := base
 	skew.Model = "instskip"
 	skew.Total = 99999
-	err = lb.RunShard(context.Background(), skew, func(int, *campaign.WireResult) {
+	_, err = lb.RunShard(context.Background(), skew, func(int, *campaign.WireResult) {
 		t.Error("refused shard emitted a result")
 	})
 	if err == nil || !strings.Contains(err.Error(), "version skew") ||

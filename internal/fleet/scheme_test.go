@@ -60,7 +60,7 @@ func TestWorkerRefusesSchemeSkew(t *testing.T) {
 
 	unknown := base
 	unknown.Scheme = "tmr"
-	err := lb.RunShard(context.Background(), unknown, func(int, *campaign.WireResult) {
+	_, err := lb.RunShard(context.Background(), unknown, func(int, *campaign.WireResult) {
 		t.Error("refused shard emitted a result")
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown scheme") ||
@@ -73,7 +73,7 @@ func TestWorkerRefusesSchemeSkew(t *testing.T) {
 	// baseline the coordinator claimed.
 	skew := base
 	skew.Scheme = "dupcmp"
-	err = lb.RunShard(context.Background(), skew, func(int, *campaign.WireResult) {
+	_, err = lb.RunShard(context.Background(), skew, func(int, *campaign.WireResult) {
 		t.Error("refused shard emitted a result")
 	})
 	if err == nil || !strings.Contains(err.Error(), "version skew") ||
@@ -121,7 +121,7 @@ func TestShardSpecCarriesSchemeName(t *testing.T) {
 		Total: len(exps), Indices: []int{0, 1, 2},
 	}
 	n := 0
-	if err := lb.RunShard(context.Background(), spec, func(int, *campaign.WireResult) { n++ }); err != nil {
+	if _, err := lb.RunShard(context.Background(), spec, func(int, *campaign.WireResult) { n++ }); err != nil {
 		t.Fatalf("encbranch shard on a worker holding the baseline app: %v", err)
 	}
 	if n != len(spec.Indices) {

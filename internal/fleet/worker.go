@@ -21,7 +21,8 @@ const maxSpecBytes = 8 << 20
 
 // shardLine is one NDJSON line of a shard response stream: a result line
 // (Result set), the terminating success line (Done set, Runs the number
-// of result lines streamed), or a terminal error line. A stream that ends
+// of result lines streamed, ShardWork the attempt's work counters), or a
+// terminal error line. A stream that ends
 // without a Done or Error line was truncated — the worker died mid-shard
 // — and the client reports an error so the coordinator re-leases.
 type shardLine struct {
@@ -29,7 +30,8 @@ type shardLine struct {
 	Result *campaign.WireResult `json:"result,omitempty"`
 	Done   bool                 `json:"done,omitempty"`
 	Runs   int                  `json:"runs,omitempty"`
-	Error  string               `json:"error,omitempty"`
+	ShardWork
+	Error string `json:"error,omitempty"`
 }
 
 // AppResolver resolves a shard spec's app name to a built application.
@@ -55,7 +57,7 @@ func mapResolver(apps map[string]*target.App) AppResolver {
 // out of range) surface here, before any result is produced, so the HTTP
 // handler can still answer 400.
 func prepareShard(resolve AppResolver, spec *ShardSpec,
-	cache *castore.Store) (func(ctx context.Context, emit emitFunc) error, error) {
+	cache *castore.Store) (func(ctx context.Context, emit emitFunc) (ShardWork, error), error) {
 	app, err := resolve(spec.App)
 	if err != nil {
 		return nil, err
@@ -104,8 +106,13 @@ func prepareShard(resolve AppResolver, spec *ShardSpec,
 		shard[i] = exps[idx]
 		globals[i] = idx
 	}
-	return func(ctx context.Context, emit emitFunc) error {
-		return campaign.New(cfg).RunShard(ctx, shard, globals, resultEmit(emit))
+	return func(ctx context.Context, emit emitFunc) (ShardWork, error) {
+		eng := campaign.New(cfg)
+		if err := eng.RunShard(ctx, shard, globals, resultEmit(emit)); err != nil {
+			return ShardWork{}, err
+		}
+		m := eng.Metrics()
+		return ShardWork{ConvergedRuns: m.ConvergedRuns, InstructionsSaved: m.InstructionsSaved}, nil
 	}, nil
 }
 
@@ -200,7 +207,7 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ws.shardsServed.Add(1)
-	err = run(r.Context(), func(idx int, res *campaign.WireResult) {
+	work, err := run(r.Context(), func(idx int, res *campaign.WireResult) {
 		mu.Lock()
 		runs++
 		_ = enc.Encode(&shardLine{Idx: idx, Result: res})
@@ -217,7 +224,7 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeLine(&shardLine{Error: err.Error()})
 		return
 	}
-	writeLine(&shardLine{Done: true, Runs: runs})
+	writeLine(&shardLine{Done: true, Runs: runs, ShardWork: work})
 }
 
 // Loopback is the in-process worker: shard execution without HTTP, used
@@ -258,10 +265,10 @@ func (l *Loopback) Name() string { return l.name }
 func (l *Loopback) Healthy(context.Context) error { return nil }
 
 // RunShard executes the shard on an in-process engine.
-func (l *Loopback) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) error {
+func (l *Loopback) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (ShardWork, error) {
 	run, err := prepareShard(l.resolve, &spec, l.cache)
 	if err != nil {
-		return err
+		return ShardWork{}, err
 	}
 	return run(ctx, emit)
 }

@@ -253,15 +253,6 @@ func (e Experiment) Mutation() Mutation {
 	}
 }
 
-// MutationKind returns the kind of the experiment's mutation without
-// resolving it; bitflip experiments always replace bytes.
-func (e *Experiment) MutationKind() MutationKind {
-	if e.Model == "" {
-		return MutBytes
-	}
-	return e.Mut.Kind
-}
-
 // Location classifies the experiment for the paper's Table 2/3 error-
 // location breakdown. Bitflip attributes the flipped byte exactly as the
 // original study; byte-span mutations are attributed to their span (the

@@ -28,7 +28,7 @@ func write8(t *testing.T, m *Machine, addr uint32, v uint32) {
 
 // converged is the full comparison in the order the engine applies it.
 func converged(m *Machine, c *Checkpoint) bool {
-	return m.MatchesArch(c) && m.MatchesMemory(c)
+	return m.MatchesArch(c) && m.MatchesMemory(c, 0, 0)
 }
 
 // TestCheckpointPageComparison checks the dirty-page comparison behind
@@ -92,7 +92,7 @@ func TestCheckpointPageComparison(t *testing.T) {
 			if !run.MatchesArch(cp) {
 				t.Fatal("registers differ; the case must differ only in memory")
 			}
-			if got := run.MatchesMemory(cp); got != c.want {
+			if got := run.MatchesMemory(cp, 0, 0); got != c.want {
 				t.Errorf("MatchesMemory = %v, want %v", got, c.want)
 			}
 		})
@@ -100,8 +100,8 @@ func TestCheckpointPageComparison(t *testing.T) {
 }
 
 // TestCheckpointArchitecturalState checks the register-level half: any
-// difference in registers, EIP, flags, steps or TSC, or a different base
-// snapshot, is not convergence; a machine without dirty tracking has no
+// difference in registers, EIP, flags, steps or TSC, or a different region
+// layout, is not convergence; a machine without dirty tracking has no
 // checkpoint at all.
 func TestCheckpointArchitecturalState(t *testing.T) {
 	for _, c := range []struct {
@@ -126,9 +126,9 @@ func TestCheckpointArchitecturalState(t *testing.T) {
 	}
 
 	shadow, _, _ := convergePair(t)
-	_, other, _ := convergePair(t)
+	other := buildCounter(t).Snapshot().NewMachine(exitKernel{})
 	if converged(other, shadow.Checkpoint()) {
-		t.Error("a machine restored from another snapshot converged")
+		t.Error("a machine with another region layout converged")
 	}
 
 	_, run, snap := convergePair(t)
@@ -176,5 +176,64 @@ func TestCheckpointAfterRun(t *testing.T) {
 		if !converged(run, shadow.Checkpoint()) {
 			t.Fatalf("step %d: converged machines diverged", i)
 		}
+	}
+}
+
+// TestCheckpointPokedSpan checks the masked compare a persistent byte
+// fault needs: a differing byte inside the poked span is ignored, one
+// outside it in the same 64-byte page is not.
+func TestCheckpointPokedSpan(t *testing.T) {
+	const jne = 0x1009 // buildCounter's 2-byte jne
+	shadow, run, _ := convergePair(t)
+	if err := run.Mem.Poke(jne, []byte{0x74, 0xfa}); err != nil {
+		t.Fatal(err)
+	}
+	cp := shadow.Checkpoint()
+	if !run.MatchesArch(cp) {
+		t.Fatal("registers differ; the case must differ only in memory")
+	}
+	if run.MatchesMemory(cp, 0, 0) {
+		t.Error("a poked byte went unnoticed without a skipped span")
+	}
+	if !run.MatchesMemory(cp, jne, 2) {
+		t.Error("a differing byte inside the poked span was not ignored")
+	}
+	if err := run.Mem.Poke(jne+2, []byte{0x90}); err != nil {
+		t.Fatal(err)
+	}
+	if run.MatchesMemory(cp, jne, 2) {
+		t.Error("a differing byte just past the poked span, in the same page, went unnoticed")
+	}
+}
+
+// TestCheckpointAcrossSnapshots checks convergence against a checkpoint
+// whose base is an earlier snapshot of the same session than the run's:
+// a page the session wrote before the run's snapshot is in the
+// checkpoint's dirty set, and the run, which never wrote it, is compared
+// against the checkpoint's copy of it rather than the base.
+func TestCheckpointAcrossSnapshots(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		after func(t *testing.T, shadow *Machine)
+		want  bool
+	}{
+		{"page unchanged since the run's snapshot", nil, true},
+		{"session rewrote the page after the run's snapshot",
+			func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 8) }, false},
+		{"session wrote another page after the run's snapshot",
+			func(t *testing.T, m *Machine) { write8(t, m, 0x4000, 1) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			shadow, _, _ := convergePair(t) // restored from the load image
+			write8(t, shadow, 0x3010, 7)
+			run := shadow.Snapshot().NewMachine(exitKernel{})
+			if c.after != nil {
+				c.after(t, shadow)
+			}
+			cp := shadow.Checkpoint()
+			if got := converged(run, cp); got != c.want {
+				t.Errorf("converged = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
