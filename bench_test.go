@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"faultsec"
+	"faultsec/internal/campaign"
 	"faultsec/internal/cc"
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
@@ -252,9 +253,9 @@ func BenchmarkAblationCodegenStyle(b *testing.B) {
 				b.Fatal(err)
 			}
 			sc, _ := app.Scenario("Client1")
-			stats, err := inject.Run(ctx, inject.Config{
+			stats, err := campaign.New(campaign.Config{
 				App: app, Scenario: sc, Scheme: encoding.SchemeX86,
-			})
+			}).Run(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,6 +18,7 @@ import (
 	"faultsec/internal/fleet"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
+	"faultsec/internal/vm"
 
 	// Register the built-in target applications; submits resolve them by
 	// registry name and build them lazily.
@@ -45,21 +46,10 @@ type submitRequest struct {
 	Fuel       uint64 `json:"fuel,omitempty"`
 	Parallel   int    `json:"parallelism,omitempty"`
 	Watchdog   bool   `json:"watchdog,omitempty"`
-	// NoICache disables the VM's predecoded instruction cache for this
-	// campaign (the perf-ablation knob; outcomes are identical either way).
-	NoICache bool `json:"noICache,omitempty"`
-	// NoUops routes execution through the VM's legacy interpreter switch
-	// instead of bound micro-op handlers (the other perf-ablation knob;
-	// outcomes are identical either way).
-	NoUops bool `json:"noUops,omitempty"`
-	// NoDirtyTracking forces full-image snapshot restores instead of
-	// O(dirty) page copies (perf-ablation knob; outcomes are identical
-	// either way).
-	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
-	// NoTraces disables superblock trace fusion, dispatching every
-	// instruction individually (perf-ablation knob; outcomes are identical
-	// either way).
-	NoTraces bool `json:"noTraces,omitempty"`
+	// Tuning holds the perf-ablation knobs (noICache, noDirtyTracking,
+	// noTraces; outcomes are identical under any setting). encoding/json
+	// flattens it, so the knobs are top-level keys of the body.
+	vm.Tuning
 	// Journal enables crash-safe journaling (requires -journals). A
 	// resubmission of the same app/scenario/scheme resumes the journal.
 	Journal bool `json:"journal,omitempty"`
@@ -422,11 +412,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	cfg := campaign.Config{
 		App: app, Scenario: sc, Scheme: scheme, Model: req.FaultModel,
 		Fuel: req.Fuel, Parallelism: req.Parallel, Watchdog: req.Watchdog,
-		NoICache:        req.NoICache,
-		NoUops:          req.NoUops,
-		NoDirtyTracking: req.NoDirtyTracking,
-		NoTraces:        req.NoTraces,
-		CheckpointSync:  req.CheckpointSync,
+		Tuning: req.Tuning, CheckpointSync: req.CheckpointSync,
 	}
 	if cacheMode != campaign.CacheOff {
 		cfg.CacheMode = cacheMode

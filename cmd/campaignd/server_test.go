@@ -250,6 +250,10 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		// ablation (DisallowUnknownFields).
 		{`{"app":"ftpd","scenario":"Client1","noICash":true}`, http.StatusBadRequest},
 		{`{"app":"ftpd","scenario":"Client1","jurnal":true}`, http.StatusBadRequest},
+		// Retired ablation knobs are unknown fields now: a client still
+		// sending them is told so instead of getting the default path.
+		{`{"app":"ftpd","scenario":"Client1","noUops":true}`, http.StatusBadRequest},
+		{`{"app":"ftpd","scenario":"Client1","noSnapshot":true}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewBufferString(c.body))
@@ -265,6 +269,24 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 	var v map[string]any
 	if code := getJSON(t, ts.URL+"/campaigns/c999", &v); code != http.StatusNotFound {
 		t.Errorf("GET unknown campaign: status %d, want 404", code)
+	}
+
+	// The surviving knobs are accepted and reach the engine: with all
+	// three set, the campaign neither caches decodes, fuses traces, nor
+	// copies dirty pages.
+	knobbed := postCampaign(t, ts,
+		`{"app":"ftpd","scenario":"Client1","noICache":true,"noTraces":true,"noDirtyTracking":true}`)
+	if final := waitDone(t, ts, knobbed.ID); final.State != stateDone || final.Final == nil || final.Final.Total == 0 {
+		t.Fatalf("knobbed campaign ended %q (%s) with summary %+v", final.State, final.Error, final.Final)
+	}
+	var mv metricsView
+	if code := getJSON(t, ts.URL+"/metrics", &mv); code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", code)
+	}
+	m := mv.Campaigns[knobbed.ID]
+	if m.RunsTotal == 0 || m.ICacheHits != 0 || m.ICacheMisses != 0 || m.TraceHits != 0 ||
+		m.DirtyBytesCopied != 0 || m.ConvergedRuns != 0 {
+		t.Errorf("knobs did not reach the engine: %+v", m)
 	}
 }
 

@@ -163,15 +163,12 @@ func (c *convergenceChecker) Syscall(m *vm.Machine) error {
 }
 
 // rewind readies the worker machine for one run from snap with syscall
-// handler sys, allocating it on first use. It returns the (possibly new)
+// handler sys, allocating it on first use; a new machine inherits the
+// sweep machine's Tuning from the snapshot. It returns the (possibly new)
 // machine.
-func (e *Engine) rewind(wm *vm.Machine, snap *snapEntry, sys vm.SyscallHandler) (*vm.Machine, error) {
+func rewind(wm *vm.Machine, snap *snapEntry, sys vm.SyscallHandler) (*vm.Machine, error) {
 	if wm == nil {
 		wm = snap.m.NewMachine(sys)
-		wm.NoICache = e.cfg.NoICache
-		wm.NoUops = e.cfg.NoUops
-		wm.NoDirtyTracking = e.cfg.NoDirtyTracking
-		wm.NoTraces = e.cfg.NoTraces
 	} else {
 		if err := wm.Restore(snap.m); err != nil {
 			return wm, err

@@ -36,15 +36,16 @@
 //     recorded experiment, and merges journaled and fresh results into the
 //     exact Stats an uninterrupted campaign produces.
 //
-// Importing this package registers it as the execution backend for
-// inject.Run / inject.RunExperiments / inject.RunRandom (see register.go),
-// making it a drop-in replacement for existing callers.
+// Callers (internal/core, fleet workers, campaignd) run campaigns through
+// New(cfg).Run or RunExperiments; inject.RunExperimentsNaive stays as the
+// from-scratch differential oracle.
 package campaign
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,30 +106,11 @@ type Config struct {
 	// Cache is the shard-result store consulted per CacheMode; nil
 	// disables caching regardless of mode.
 	Cache *castore.Store
-	// NoSnapshot forces the naive from-scratch path for every run. It
-	// exists for differential testing and benchmarking against the
-	// snapshot fast-forward.
-	NoSnapshot bool
-	// NoICache disables the VM's predecoded instruction cache on every
-	// machine the engine creates. Like NoSnapshot it exists for
-	// differential testing and for the ablation benchmarks; outcomes must
-	// be bit-identical either way.
-	NoICache bool
-	// NoUops routes every retirement through the VM's legacy interpreter
-	// switch instead of the bound micro-op handlers. Like NoICache it is
-	// an ablation/differential-testing knob; outcomes must be
-	// bit-identical either way.
-	NoUops bool
-	// NoDirtyTracking disables the VM's dirty-page bitmaps, forcing every
-	// snapshot restore to copy the full address space. It also turns off
-	// the golden-convergence exit, which compares dirty pages, so every
-	// run executes to its end. Ablation knob; outcomes must be
-	// bit-identical either way.
-	NoDirtyTracking bool
-	// NoTraces disables superblock trace fusion, dispatching every
-	// retirement individually. Ablation knob; outcomes must be
-	// bit-identical either way.
-	NoTraces bool
+	// Tuning holds the VM ablation knobs, applied to every machine the
+	// engine creates; outcomes are bit-identical under any setting.
+	// NoDirtyTracking also turns off the golden-convergence exit, which
+	// compares dirty pages, so every run executes to its end.
+	vm.Tuning
 }
 
 // DefaultCheckpointEvery is the journal checkpoint cadence.
@@ -152,7 +134,7 @@ func (c *Config) effectiveFuel() uint64 {
 func (c *Config) effectiveWorkers(n int) int {
 	w := c.Parallelism
 	if w <= 0 {
-		w = defaultParallelism()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n && n > 0 {
 		w = n
@@ -165,20 +147,6 @@ func (c *Config) effectiveCheckpointEvery() int {
 		return DefaultCheckpointEvery
 	}
 	return c.CheckpointEvery
-}
-
-// FromInjectConfig adapts an inject.Config (no journal, snapshots on).
-func FromInjectConfig(cfg inject.Config) Config {
-	return Config{
-		App:         cfg.App,
-		Scenario:    cfg.Scenario,
-		Scheme:      cfg.Scheme,
-		Fuel:        cfg.Fuel,
-		Parallelism: cfg.Parallelism,
-		KeepResults: cfg.KeepResults,
-		Watchdog:    cfg.Watchdog,
-		Progress:    cfg.Progress,
-	}
 }
 
 // Engine executes one campaign. Its progress and metrics accessors are
@@ -198,7 +166,6 @@ type Engine struct {
 	prefixRuns      atomic.Int64 // golden prefix executions (one per reached target)
 	snapshotRuns    atomic.Int64 // runs served by snapshot restore
 	synthesizedRuns atomic.Int64 // NA runs synthesized from an unreached prefix
-	naiveRuns       atomic.Int64 // runs executed from _start (NoSnapshot)
 
 	icacheHits   atomic.Int64 // VM retirements served by the predecoded icache
 	icacheMisses atomic.Int64 // VM retirements that decoded on an icache miss
@@ -236,8 +203,8 @@ func (e *Engine) Run(ctx context.Context) (*inject.Stats, error) {
 	return e.RunExperiments(ctx, exps)
 }
 
-// RunExperiments executes an explicit experiment list (the inject backend
-// entry point; also used by random campaigns).
+// RunExperiments executes an explicit experiment list (random campaigns,
+// differential tests). cfg.App must already be the scheme's image.
 func (e *Engine) RunExperiments(ctx context.Context, exps []inject.Experiment) (*inject.Stats, error) {
 	var w *journalWriter
 	if e.cfg.Journal != "" {
@@ -377,10 +344,7 @@ func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
 	m := ld.Machine
 	m.Fuel = fuel
 	m.CFValid = cfValid
-	m.NoICache = e.cfg.NoICache
-	m.NoUops = e.cfg.NoUops
-	m.NoDirtyTracking = e.cfg.NoDirtyTracking
-	m.NoTraces = e.cfg.NoTraces
+	m.Tuning = e.cfg.Tuning
 	for i := range wave {
 		m.SetBreakpoint(wave[i].addr)
 	}
@@ -524,9 +488,9 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 	}
 
 	// One golden shadow serves every group's convergence exit. Its memory
-	// compare needs dirty tracking, and only snapshot runs converge.
+	// compare needs dirty tracking.
 	var sh *shadow
-	if !e.cfg.NoDirtyTracking && !e.cfg.NoSnapshot && len(groups) > 0 && runCtx.Err() == nil {
+	if !e.cfg.NoDirtyTracking && len(groups) > 0 && runCtx.Err() == nil {
 		if sh, err = e.goldenShadow(golden, groups, fuel); errors.Is(err, errShadowDiverged) {
 			sh = nil
 		} else if err != nil {
@@ -562,13 +526,10 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 		}
 		wave := groups[start:endIdx]
 
-		var snaps map[uint32]*snapEntry
-		if !e.cfg.NoSnapshot {
-			snaps, err = e.captureSnapshots(wave, cfValid, fuel)
-			if err != nil {
-				fail(err)
-				break
-			}
+		snaps, err := e.captureSnapshots(wave, cfValid, fuel)
+		if err != nil {
+			fail(err)
+			break
 		}
 
 		gch := make(chan int)
@@ -582,7 +543,7 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 				for gi := range gch {
 					begin := time.Now()
 					wm = e.runGroup(runCtx, wm, &wave[gi], exps, golden, naRun,
-						snaps[wave[gi].addr], sh, cfValid, fuel, finish, fail)
+						snaps[wave[gi].addr], sh, finish, fail)
 					e.busyNanos.Add(time.Since(begin).Nanoseconds())
 					e.harvestCounters(wm)
 					if runCtx.Err() == nil {
@@ -639,24 +600,7 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 // the (possibly newly allocated) reusable worker machine.
 func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	exps []inject.Experiment, golden *classify.Golden, naRun *classify.Run,
-	snap *snapEntry, sh *shadow, cfValid map[uint32]struct{}, fuel uint64,
-	finish func(int, inject.Result), fail func(error)) *vm.Machine {
-
-	if e.cfg.NoSnapshot {
-		for _, idx := range g.indices {
-			if ctx.Err() != nil {
-				return wm
-			}
-			res, err := inject.RunOneWatched(e.cfg.App, e.cfg.Scenario, golden, exps[idx], fuel, cfValid)
-			if err != nil {
-				fail(fmt.Errorf("campaign: experiment %d: %w", idx, err))
-				return wm
-			}
-			e.naiveRuns.Add(1)
-			finish(idx, res)
-		}
-		return wm
-	}
+	snap *snapEntry, sh *shadow, finish func(int, inject.Result), fail func(error)) *vm.Machine {
 
 	if snap == nil {
 		// The target instruction never executes under this scenario. A
@@ -689,7 +633,7 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			sys = &chk
 		}
 		var err error
-		if wm, err = e.rewind(wm, snap, sys); err != nil {
+		if wm, err = rewind(wm, snap, sys); err != nil {
 			fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
 			return wm
 		}
@@ -777,7 +721,8 @@ type Metrics struct {
 	// SynthesizedNA is the number of NA results synthesized from an
 	// unreached prefix without any execution.
 	SynthesizedNA int64 `json:"synthesizedNA"`
-	// NaiveRuns is the number of runs executed from _start (NoSnapshot).
+	// NaiveRuns is always 0: every engine run is served by a snapshot or
+	// synthesized. The key stays for /metrics wire compatibility.
 	NaiveRuns int64 `json:"naiveRuns"`
 	// JournalAdopted is the number of results adopted from a journal.
 	JournalAdopted int64 `json:"journalAdopted"`
@@ -840,7 +785,6 @@ func (e *Engine) Metrics() Metrics {
 	m := Metrics{
 		SnapshotRuns:     e.snapshotRuns.Load(),
 		SynthesizedNA:    e.synthesizedRuns.Load(),
-		NaiveRuns:        e.naiveRuns.Load(),
 		PrefixRuns:       e.prefixRuns.Load(),
 		JournalAdopted:   e.preloaded.Load(),
 		CacheHits:        e.cacheHits.Load(),
@@ -860,7 +804,7 @@ func (e *Engine) Metrics() Metrics {
 		ConvergedRuns:     e.convergedRuns.Load(),
 		InstructionsSaved: e.instructionsSaved.Load(),
 	}
-	m.RunsTotal = m.SnapshotRuns + m.SynthesizedNA + m.NaiveRuns
+	m.RunsTotal = m.SnapshotRuns + m.SynthesizedNA
 	if m.RunsTotal > 0 {
 		m.SnapshotHitRate = float64(m.SnapshotRuns+m.SynthesizedNA) / float64(m.RunsTotal)
 	}

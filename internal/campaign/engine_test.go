@@ -359,35 +359,6 @@ func TestSnapshotFidelity(t *testing.T) {
 	}
 }
 
-// TestInjectRunDelegatesToEngine verifies the drop-in property: with this
-// package imported, inject.Run routes through the engine and still matches
-// the naive reference.
-func TestInjectRunDelegatesToEngine(t *testing.T) {
-	app, sc := ftpClient1(t)
-	targets, err := inject.Targets(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := inject.Enumerate(targets, encoding.SchemeX86)
-	// A slice keeps this test quick; the full diff runs in
-	// TestDifferentialFTPClient1.
-	if len(exps) > 64 {
-		exps = exps[:64]
-	}
-	cfg := inject.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true}
-	via, err := inject.RunExperiments(context.Background(), cfg, exps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := inject.RunExperimentsNaive(context.Background(), cfg, exps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(naive, via) {
-		t.Error("inject.RunExperiments (engine backend) differs from naive reference")
-	}
-}
-
 // TestJournalRejectsForeignCampaign pins the resume safety check: a journal
 // written for one campaign must not silently seed another.
 func TestJournalRejectsForeignCampaign(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/encoding"
+	"faultsec/internal/vm"
 )
 
 // TestICacheAblationFTPClient1 is the corrupted-text acceptance gate for
@@ -31,7 +32,7 @@ func TestICacheAblationFTPClient1(t *testing.T) {
 
 	uncached := campaign.New(campaign.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true,
-		NoICache: true,
+		Tuning: vm.Tuning{NoICache: true},
 	})
 	got, err := uncached.Run(context.Background())
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"faultsec/internal/campaign"
 	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
+	"faultsec/internal/vm"
 )
 
 // TestRestoreTraceAblationMatrix is the acceptance gate for PR-7's two
@@ -40,7 +41,7 @@ func TestRestoreTraceAblationMatrix(t *testing.T) {
 				eng := campaign.New(campaign.Config{
 					App: app, Scenario: sc, Scheme: encoding.SchemeX86,
 					Model: model, KeepResults: true,
-					NoDirtyTracking: c.noDirty, NoTraces: c.noTraces,
+					Tuning: vm.Tuning{NoDirtyTracking: c.noDirty, NoTraces: c.noTraces},
 				})
 				got, err := eng.Run(context.Background())
 				if err != nil {
@@ -88,7 +89,7 @@ func benchRestoreCampaign(b *testing.B, noDirty, noTraces bool) {
 	for i := 0; i < b.N; i++ {
 		eng := campaign.New(campaign.Config{
 			App: app, Scenario: sc, Scheme: encoding.SchemeX86,
-			NoDirtyTracking: noDirty, NoTraces: noTraces,
+			Tuning: vm.Tuning{NoDirtyTracking: noDirty, NoTraces: noTraces},
 		})
 		stats, err := eng.Run(context.Background())
 		if err != nil {

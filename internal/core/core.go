@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 
-	"faultsec/internal/campaign" // importing registers the snapshot campaign engine as the inject backend
+	"faultsec/internal/campaign"
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
 	"faultsec/internal/faultmodel"
@@ -72,8 +72,8 @@ type Options struct {
 	KeepResults bool
 }
 
-func (o Options) config(app *target.App, sc target.Scenario, scheme encoding.Scheme) inject.Config {
-	return inject.Config{
+func (o Options) config(app *target.App, sc target.Scenario, scheme encoding.Scheme) campaign.Config {
+	return campaign.Config{
 		App:         app,
 		Scenario:    sc,
 		Scheme:      scheme,
@@ -90,7 +90,7 @@ func (s *Study) Campaign(ctx context.Context, app *target.App, scenario string,
 	if !ok {
 		return nil, fmt.Errorf("core: app %s has no scenario %q", app.Name, scenario)
 	}
-	return inject.Run(ctx, opts.config(app, sc, scheme))
+	return campaign.New(opts.config(app, sc, scheme)).Run(ctx)
 }
 
 // AllCampaigns runs the paper's six campaigns (FTP Client1..4, SSH
@@ -100,7 +100,7 @@ func (s *Study) AllCampaigns(ctx context.Context, scheme encoding.Scheme,
 	var out []*inject.Stats
 	for _, app := range []*target.App{s.FTPD, s.SSHD} {
 		for _, sc := range app.Scenarios {
-			stats, err := inject.Run(ctx, opts.config(app, sc, scheme))
+			stats, err := campaign.New(opts.config(app, sc, scheme)).Run(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -144,8 +144,7 @@ func (s *Study) Figure4(ctx context.Context, opts Options) (*report.Histogram, e
 
 // CampaignModel runs one selective-exhaustive campaign under an explicit
 // fault model (internal/faultmodel registry name; "" or "bitflip" is the
-// paper's single-bit model). It drives the campaign engine directly, since
-// the fault model decides the experiment enumeration itself.
+// paper's single-bit model), which decides the experiment enumeration.
 func (s *Study) CampaignModel(ctx context.Context, app *target.App, scenario string,
 	scheme encoding.Scheme, model string, opts Options) (*inject.Stats, error) {
 	sc, ok := app.Scenario(scenario)
@@ -155,7 +154,7 @@ func (s *Study) CampaignModel(ctx context.Context, app *target.App, scenario str
 	if _, err := faultmodel.Get(model); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	cfg := campaign.FromInjectConfig(opts.config(app, sc, scheme))
+	cfg := opts.config(app, sc, scheme)
 	cfg.Model = model
 	return campaign.New(cfg).Run(ctx)
 }
@@ -222,17 +221,28 @@ func (s *Study) SchemeMatrix(ctx context.Context, schemes, models []string,
 // load. The paper reports roughly 1 security violation per 3,000 errors.
 func (s *Study) RandomTestbed(ctx context.Context, n int, seed int64,
 	opts Options) (*inject.Stats, error) {
+	return s.randomTestbed(ctx, n, seed, encoding.SchemeX86, opts)
+}
+
+// randomTestbed runs n seeded random single-bit injections
+// (inject.RandomExperiments) against ftpd Client1 under scheme. The
+// returned Stats carry the scenario name with a "/random" suffix.
+func (s *Study) randomTestbed(ctx context.Context, n int, seed int64,
+	scheme encoding.Scheme, opts Options) (*inject.Stats, error) {
+	if n <= 0 {
+		return nil, errors.New("core: random campaign needs n > 0")
+	}
 	sc, _ := s.FTPD.Scenario("Client1")
-	return inject.RunRandom(ctx, inject.RandomConfig{
-		App:         s.FTPD,
-		Scenario:    sc,
-		Scheme:      encoding.SchemeX86,
-		N:           n,
-		Seed:        seed,
-		Fuel:        opts.Fuel,
-		Parallelism: opts.Parallelism,
-		KeepResults: opts.KeepResults,
-	})
+	exps, err := inject.RandomExperiments(s.FTPD, scheme, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := campaign.New(opts.config(s.FTPD, sc, scheme)).RunExperiments(ctx, exps)
+	if err != nil {
+		return nil, err
+	}
+	stats.Scenario = sc.Name + "/random"
+	return stats, nil
 }
 
 // PersistentWindowResult demonstrates the paper's permanent window of
@@ -262,7 +272,7 @@ func (s *Study) PersistentWindow(ctx context.Context, app *target.App, n int,
 	}
 	cfg := opts.config(app, sc, encoding.SchemeX86)
 	cfg.KeepResults = true
-	stats, err := inject.Run(ctx, cfg)
+	stats, err := campaign.New(cfg).Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +369,7 @@ func (s *Study) LoadImpact(ctx context.Context, app *target.App, opts Options) (
 	for _, sc := range app.Scenarios {
 		cfg := opts.config(app, sc, encoding.SchemeX86)
 		cfg.KeepResults = true
-		stats, err := inject.Run(ctx, cfg)
+		stats, err := campaign.New(cfg).Run(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -427,13 +437,13 @@ func (s *Study) WatchdogAblation(ctx context.Context, app *target.App,
 	if !ok {
 		return nil, fmt.Errorf("core: app %s has no Client1", app.Name)
 	}
-	baseline, err := inject.Run(ctx, opts.config(app, sc, encoding.SchemeX86))
+	baseline, err := campaign.New(opts.config(app, sc, encoding.SchemeX86)).Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	watchedCfg := opts.config(app, sc, encoding.SchemeX86)
 	watchedCfg.Watchdog = true
-	watched, err := inject.Run(ctx, watchedCfg)
+	watched, err := campaign.New(watchedCfg).Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +455,7 @@ func (s *Study) WatchdogAblation(ctx context.Context, app *target.App,
 // escalation pattern from ftpd.EscalationScenario).
 func (s *Study) CampaignScenario(ctx context.Context, app *target.App,
 	sc target.Scenario, scheme encoding.Scheme, opts Options) (*inject.Stats, error) {
-	return inject.Run(ctx, opts.config(app, sc, scheme))
+	return campaign.New(opts.config(app, sc, scheme)).Run(ctx)
 }
 
 // RandomTestbedScheme is RandomTestbed with an explicit encoding scheme —
@@ -453,15 +463,5 @@ func (s *Study) CampaignScenario(ctx context.Context, app *target.App,
 // ("1 in N random errors breaks in").
 func (s *Study) RandomTestbedScheme(ctx context.Context, n int, seed int64,
 	scheme encoding.Scheme, opts Options) (*inject.Stats, error) {
-	sc, _ := s.FTPD.Scenario("Client1")
-	return inject.RunRandom(ctx, inject.RandomConfig{
-		App:         s.FTPD,
-		Scenario:    sc,
-		Scheme:      scheme,
-		N:           n,
-		Seed:        seed,
-		Fuel:        opts.Fuel,
-		Parallelism: opts.Parallelism,
-		KeepResults: opts.KeepResults,
-	})
+	return s.randomTestbed(ctx, n, seed, scheme, opts)
 }

@@ -628,10 +628,8 @@ func (c *Coordinator) specFor(sh *shardState) ShardSpec {
 		App: cc.App.Name, Scenario: cc.Scenario.Name, Scheme: encoding.SchemeName(cc.Scheme),
 		Model: campaign.WireModel(cc.Model),
 		Fuel:  cc.Fuel, Parallelism: cc.Parallelism, Watchdog: cc.Watchdog,
-		NoICache: cc.NoICache, NoUops: cc.NoUops, NoSnapshot: cc.NoSnapshot,
-		NoDirtyTracking: cc.NoDirtyTracking, NoTraces: cc.NoTraces,
-		CacheMode: cc.CacheMode,
-		Total:     len(c.exps), Shard: sh.id, Indices: sh.pending,
+		Tuning: cc.Tuning, CacheMode: cc.CacheMode,
+		Total: len(c.exps), Shard: sh.id, Indices: sh.pending,
 	}
 }
 

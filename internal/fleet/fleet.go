@@ -34,6 +34,7 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/inject"
+	"faultsec/internal/vm"
 )
 
 // Worker paths served by a worker node (any campaignd instance).
@@ -87,12 +88,9 @@ type ShardSpec struct {
 	Fuel        uint64 `json:"fuel,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	Watchdog    bool   `json:"watchdog,omitempty"`
-	NoICache    bool   `json:"noICache,omitempty"`
-	NoUops      bool   `json:"noUops,omitempty"`
-	NoSnapshot  bool   `json:"noSnapshot,omitempty"`
-
-	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
-	NoTraces        bool `json:"noTraces,omitempty"`
+	// Tuning carries the campaign's VM ablation knobs; encoding/json
+	// flattens it into the noICache, noDirtyTracking and noTraces keys.
+	vm.Tuning
 	// CacheMode is the campaign's content-addressed cache mode ("",
 	// "off", "read", "readwrite"). A worker honors it only when it has a
 	// local result store configured; the coordinator consults its own

@@ -77,8 +77,7 @@ func prepareShard(resolve AppResolver, spec *ShardSpec,
 	cfg := campaign.Config{
 		App: app, Scenario: sc, Scheme: scheme, Model: spec.Model,
 		Fuel: spec.Fuel, Parallelism: spec.Parallelism, Watchdog: spec.Watchdog,
-		NoICache: spec.NoICache, NoUops: spec.NoUops, NoSnapshot: spec.NoSnapshot,
-		NoDirtyTracking: spec.NoDirtyTracking, NoTraces: spec.NoTraces,
+		Tuning: spec.Tuning,
 	}
 	if cache != nil {
 		cfg.CacheMode = cacheMode

@@ -45,7 +45,7 @@ type Stats struct {
 	Scheme   encoding.Scheme
 	// Model is the canonical fault-model name ("bitflip" for the paper's
 	// single-bit model). Executors derive it from the experiment list via
-	// ModelOf, so every backend stamps it identically.
+	// ModelOf, so every executor stamps it identically.
 	Model string
 
 	// Total is the number of runs (one per injected bit).
@@ -109,7 +109,7 @@ func (s *Stats) ManifestedBreakdown() map[classify.Location]int {
 }
 
 // NewStats returns an empty aggregate for one campaign. It is exported so
-// alternative execution backends (internal/campaign, internal/fleet)
+// the snapshot engine and the fleet (internal/campaign, internal/fleet)
 // aggregate through the exact same code path as the naive runner. model is
 // the canonical fault-model name; "" means bitflip.
 func NewStats(app, scenario string, scheme encoding.Scheme, model string) *Stats {
@@ -172,46 +172,10 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// Backend is a pluggable campaign executor. internal/campaign registers
-// its snapshot fast-forward engine here, which makes every Run /
-// RunExperiments / RunRandom caller use it transparently.
-type Backend func(ctx context.Context, cfg Config, experiments []Experiment) (*Stats, error)
-
-var backend Backend
-
-// SetBackend installs the campaign execution backend. It must be called
-// before campaigns start (package init time); a nil backend restores the
-// naive per-run path.
-func SetBackend(b Backend) { backend = b }
-
-// Run executes the full selective-exhaustive campaign described by cfg.
-func Run(ctx context.Context, cfg Config) (*Stats, error) {
-	app, err := cfg.App.ForScheme(cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	cfg.App = app
-	targets, err := Targets(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	return RunExperiments(ctx, cfg, Enumerate(targets, cfg.Scheme))
-}
-
-// RunExperiments executes an explicit experiment list under cfg and
-// aggregates deterministically (experiment order). When a backend is
-// registered (internal/campaign's snapshot engine), execution delegates to
-// it; otherwise every experiment re-executes the server from _start.
-func RunExperiments(ctx context.Context, cfg Config, experiments []Experiment) (*Stats, error) {
-	if backend != nil {
-		return backend(ctx, cfg, experiments)
-	}
-	return RunExperimentsNaive(ctx, cfg, experiments)
-}
-
-// RunExperimentsNaive is the backend-independent reference executor: one
-// full from-scratch server run per experiment, in parallel. It is exported
-// as the differential-testing baseline for alternative backends.
+// RunExperimentsNaive is the reference executor: one full from-scratch
+// server run per experiment, in parallel. It is the differential-testing
+// oracle for the snapshot engine (internal/campaign), which runs every
+// production campaign.
 func RunExperimentsNaive(ctx context.Context, cfg Config, experiments []Experiment) (*Stats, error) {
 	fuel := cfg.Fuel
 	if fuel == 0 {

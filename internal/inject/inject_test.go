@@ -267,13 +267,13 @@ func TestSmallCampaignParallelMatchesSerial(t *testing.T) {
 	}
 	exps := inject.Enumerate(targets[:4], encoding.SchemeX86)
 	ctx := context.Background()
-	serial, err := inject.RunExperiments(ctx, inject.Config{
+	serial, err := inject.RunExperimentsNaive(ctx, inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, Parallelism: 1,
 	}, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := inject.RunExperiments(ctx, inject.Config{
+	parallel, err := inject.RunExperimentsNaive(ctx, inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, Parallelism: 8,
 	}, exps)
 	if err != nil {
@@ -292,11 +292,15 @@ func TestSmallCampaignParallelMatchesSerial(t *testing.T) {
 func TestCampaignCancellation(t *testing.T) {
 	app := ftpApp(t)
 	sc, _ := app.Scenario("Client1")
+	targets, err := inject.Targets(app)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inject.Run(ctx, inject.Config{
+	if _, err := inject.RunExperimentsNaive(ctx, inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86,
-	}); err == nil {
+	}, inject.Enumerate(targets, encoding.SchemeX86)); err == nil {
 		t.Error("canceled campaign succeeded")
 	}
 }

@@ -49,9 +49,13 @@ func TestStatsMergeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, _ := app.Scenario("Client1")
-	full, err := inject.Run(context.Background(), inject.Config{
+	targets, err := inject.Targets(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true,
-	})
+	}, inject.Enumerate(targets, encoding.SchemeX86))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package inject
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 
 	"faultsec/internal/disasm"
@@ -10,30 +8,13 @@ import (
 	"faultsec/internal/target"
 )
 
-// RandomConfig parameterizes the paper's §7 testbed: massive random
-// single-bit injections over the entire text segment while the server is
-// under attack load (Client1), measuring how many errors cause a security
-// violation (the paper reports about 1 in 3,000).
-type RandomConfig struct {
-	App      *target.App
-	Scenario target.Scenario
-	Scheme   encoding.Scheme
-	// N is the number of random injections.
-	N int
-	// Seed makes the experiment reproducible.
-	Seed int64
-	// Fuel is the per-run instruction budget; 0 means DefaultFuel.
-	Fuel uint64
-	// Parallelism is the worker count; 0 means GOMAXPROCS.
-	Parallelism int
-	// KeepResults retains per-run detail.
-	KeepResults bool
-}
-
 // RandomExperiments derives a deterministic list of N random single-bit
-// experiments over the whole text segment. Each random (byte, bit) pick is
-// mapped to the instruction containing that byte so the injector can watch
-// for activation with a breakpoint, exactly as in the exhaustive campaign.
+// experiments over the whole text segment: the paper's §7 testbed of
+// massive random injections while the server is under attack load, which
+// measures how many errors cause a security violation (the paper reports
+// about 1 in 3,000). Each random (byte, bit) pick is mapped to the
+// instruction containing that byte so the injector can watch for
+// activation with a breakpoint, exactly as in the exhaustive campaign.
 func RandomExperiments(app *target.App, scheme encoding.Scheme, n int, seed int64) ([]Experiment, error) {
 	text := app.Image.Text
 	entries := disasm.Sweep(text, app.Image.TextBase, 0, uint32(len(text)))
@@ -82,28 +63,4 @@ func RandomExperiments(app *target.App, scheme encoding.Scheme, n int, seed int6
 		})
 	}
 	return out, nil
-}
-
-// RunRandom executes the random-injection testbed.
-func RunRandom(ctx context.Context, cfg RandomConfig) (*Stats, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("inject: random campaign needs N > 0")
-	}
-	experiments, err := RandomExperiments(cfg.App, cfg.Scheme, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := RunExperiments(ctx, Config{
-		App:         cfg.App,
-		Scenario:    cfg.Scenario,
-		Scheme:      cfg.Scheme,
-		Fuel:        cfg.Fuel,
-		Parallelism: cfg.Parallelism,
-		KeepResults: cfg.KeepResults,
-	}, experiments)
-	if err != nil {
-		return nil, err
-	}
-	stats.Scenario = cfg.Scenario.Name + "/random"
-	return stats, nil
 }

@@ -7,12 +7,12 @@ import (
 // exec executes one decoded instruction via the legacy monolithic switch.
 // pc is the address of the instruction; m.EIP is advanced here.
 //
-// This path survives only as the NoUops ablation knob (and as the
-// reference semantics the micro-op pipeline is differentially tested
-// against): the warm path binds each decode to a handler index once and
-// dispatches through uopTable (see exec_uop.go and the exec_*.go handler
-// families), so this switch no longer runs per retirement unless
-// Machine.NoUops is set.
+// This path runs every decode the icache does not hold (NoICache machines,
+// the golden shadow) and is the reference semantics the micro-op pipeline
+// is differentially tested against: the warm path binds each decode to a
+// handler index once and dispatches through uopTable (see exec_uop.go and
+// the exec_*.go handler families), so this switch never runs per cached
+// retirement.
 //
 //nolint:gocyclo // a CPU dispatch loop is inherently one large switch
 func (m *Machine) exec(in *x86.Inst, pc uint32) error {

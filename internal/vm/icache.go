@@ -5,10 +5,11 @@ import (
 )
 
 // This file implements the predecoded instruction cache (icache): a dense
-// per-region table mapping every executable address to its decoded
-// x86.Inst plus the micro-op it binds to (see exec_uop.go), filled lazily
-// by Machine.Step and consulted before the fetch+decode+bind slow path. The text segment is immutable apart from the
-// injector's pokes, so almost every retirement after warm-up is a hit.
+// per-region table mapping every executable address to the micro-op its
+// decode binds to (see exec_uop.go), filled lazily by Machine.Step and
+// consulted before the fetch+decode+bind slow path. The text segment is
+// immutable apart from the injector's pokes, so almost every retirement
+// after warm-up is a hit.
 //
 // Correctness rests on invalidation. Two mutation channels exist:
 //
@@ -37,14 +38,12 @@ import (
 // icacheSpan is a half-open invalidated address range [lo, hi).
 type icacheSpan struct{ lo, hi uint32 }
 
-// islot is one predecoded cache slot: the decoded instruction plus the
-// micro-op it was bound to at fill time. Warm retirements dispatch straight
-// through uop.H; the Inst rides along for the NoUops ablation (and for
-// anything that wants the full decode). inst.Len == 0 marks an empty slot;
-// every successfully decoded instruction has Len >= 1.
+// islot is one predecoded cache slot: the micro-op the instruction's
+// decode was bound to at fill time. Warm retirements dispatch straight
+// through uop.H. uop.Len == 0 marks an empty slot; every successfully
+// decoded instruction has Len >= 1.
 type islot struct {
-	inst x86.Inst
-	uop  x86.Uop
+	uop x86.Uop
 }
 
 // icacheRegion is the decode table for one executable region: entries[i]
@@ -162,11 +161,11 @@ func (m *Memory) icacheLookup(pc uint32) *islot {
 			continue
 		}
 		if rt.local != nil {
-			if e := &rt.local[i]; e.inst.Len != 0 {
+			if e := &rt.local[i]; e.uop.Len != 0 {
 				return e
 			}
 		}
-		if e := &rt.entries[i]; e.inst.Len != 0 && (len(rt.dirty) == 0 || !rt.inDirty(pc)) {
+		if e := &rt.entries[i]; e.uop.Len != 0 && (len(rt.dirty) == 0 || !rt.inDirty(pc)) {
 			return e
 		}
 		return nil // regions never overlap

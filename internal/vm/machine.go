@@ -17,6 +17,29 @@ type SyscallHandler interface {
 // only trips on corrupted runs stuck in non-terminating loops.
 const DefaultFuel = 2_000_000
 
+// Tuning is the set of ablation knobs. Each one turns off a fast path
+// whose outcomes the identity tests pin to the path it replaces, so a
+// knob changes speed, never results; the zero value is the production
+// configuration. The JSON form is the campaignd submit body's and the
+// fleet shard spec's: both embed Tuning, and encoding/json flattens it.
+type Tuning struct {
+	// NoICache disables the predecoded instruction cache: Step then
+	// fetches and decodes every instruction from memory bytes and
+	// executes it through the interpreter switch (exec.go), and
+	// Snapshot/Restore carry no decode tables.
+	NoICache bool `json:"noICache,omitempty"`
+
+	// NoDirtyTracking disables dirty-page write tracking: Restore then
+	// copies every region's full bytes back from the snapshot instead of
+	// only the pages written since the last restore.
+	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
+
+	// NoTraces disables superblock trace fusion: Step then dispatches
+	// every retirement individually through the micro-op table instead of
+	// executing fused straight-line traces (trace.go).
+	NoTraces bool `json:"noTraces,omitempty"`
+}
+
 // Machine is one user-mode x86 hardware thread plus its address space.
 type Machine struct {
 	Regs  [x86.NumRegs]uint32
@@ -43,28 +66,9 @@ type Machine struct {
 	// branch taken in the wrong direction.
 	CFValid map[uint32]struct{}
 
-	// NoICache disables the predecoded instruction cache (the ablation
-	// knob): Step then fetches and decodes every instruction from memory
-	// bytes, and Snapshot/Restore carry no decode tables.
-	NoICache bool
-
-	// NoUops disables micro-op dispatch (the ablation knob): Step then
-	// executes every retirement through the legacy monolithic switch in
-	// exec.go instead of the bound-handler table. Fault semantics are
-	// identical either way (the campaign identity tests prove it); the
-	// knob exists to measure what decode-time handler binding buys.
-	NoUops bool
-
-	// NoTraces disables superblock trace fusion (the ablation knob): Step
-	// then dispatches every retirement individually through the micro-op
-	// table instead of executing fused straight-line traces (trace.go).
-	// Architectural behavior is identical either way.
-	NoTraces bool
-
-	// NoDirtyTracking disables dirty-page write tracking (the ablation
-	// knob): Restore then copies every region's full bytes back from the
-	// snapshot instead of only the pages written since the last restore.
-	NoDirtyTracking bool
+	// Tuning holds the ablation knobs; the zero value runs every fast
+	// path.
+	Tuning
 
 	// ParanoidRestore enables the dirty-restore self-check: after an
 	// O(dirty) restore, every region is compared byte-for-byte against the
@@ -231,8 +235,8 @@ func (m *Machine) fuel() uint64 {
 // The warm path is: predecoded-cache hit -> indirect call through the
 // micro-op dispatch table. The decoded form, operand routing, width masks
 // and handler index were all resolved at fill time (x86.Inst.Bind), so a
-// warm retirement performs no per-form dispatch at all. The legacy
-// monolithic switch runs only under the NoUops ablation knob.
+// warm retirement performs no per-form dispatch at all. The monolithic
+// switch (exec.go) runs only when nothing is cached (NoICache).
 func (m *Machine) Step() error {
 	if m.Steps >= m.fuel() {
 		return &OutOfFuel{Steps: m.Steps}
@@ -249,9 +253,6 @@ func (m *Machine) Step() error {
 			m.ICacheHits++
 			m.Steps++
 			m.TSC += 3 // deterministic pseudo cycle count
-			if m.NoUops {
-				return m.exec(&s.inst, pc)
-			}
 			m.EIP = pc + uint32(s.uop.Len)
 			return uopTable[s.uop.H&(uopTableSize-1)](m, &s.uop)
 		}
@@ -274,17 +275,13 @@ func (m *Machine) Step() error {
 	m.TSC += 3 // deterministic pseudo cycle count
 	if m.NoICache {
 		// Nothing is cached, so nothing is bound: every retirement decodes
-		// from bytes and executes through the legacy switch.
+		// from bytes and executes through the interpreter switch.
 		return m.exec(&in, pc)
 	}
 	m.ICacheMisses++
 	var s islot
-	s.inst = in
-	s.inst.Bind(&s.uop)
+	in.Bind(&s.uop)
 	m.Mem.icacheFill(pc, &s)
-	if m.NoUops {
-		return m.exec(&s.inst, pc)
-	}
 	m.EIP = pc + uint32(s.uop.Len)
 	return uopTable[s.uop.H&(uopTableSize-1)](m, &s.uop)
 }
@@ -295,12 +292,12 @@ func (m *Machine) Step() error {
 // per-instruction dispatch. Architectural state after each retirement is
 // identical to single-stepping (the Step contract of one instruction per
 // call is why trace execution lives here and not in Step itself). Falls
-// back to Step whenever traces are gated off — ablation knob, legacy
-// dispatch, watchdog, armed breakpoints — or when the trace at EIP would
-// outrun the remaining fuel, so OutOfFuel still fires at the exact step
-// it would under single-stepping.
+// back to Step whenever traces are gated off — ablation knobs, watchdog,
+// armed breakpoints — or when the trace at EIP would outrun the remaining
+// fuel, so OutOfFuel still fires at the exact step it would under
+// single-stepping.
 func (m *Machine) stepFused() error {
-	if !m.NoICache && !m.NoUops && !m.NoTraces &&
+	if !m.NoICache && !m.NoTraces &&
 		m.CFValid == nil && len(m.breakpoints) == 0 {
 		pc := m.EIP
 		tr := m.Mem.traceLookup(pc)

@@ -44,6 +44,10 @@ type Snapshot struct {
 	// are immutable from capture on: the capturing machine's later decodes
 	// go to its private local overlay.
 	icache *icacheSnap
+
+	// tuning is the capturing machine's ablation knobs, inherited by
+	// every machine NewMachine creates from the snapshot.
+	tuning Tuning
 }
 
 // Snapshot captures the machine's architectural state. The machine must be
@@ -58,6 +62,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		tsc:     m.TSC,
 		cfValid: m.CFValid,
 		icache:  m.Mem.icacheFreeze(),
+		tuning:  m.Tuning,
 	}
 	s.regions = make([]Region, 0, len(m.Mem.Regions()))
 	for _, r := range m.Mem.Regions() {
@@ -83,9 +88,11 @@ func (s *Snapshot) Steps() uint64 { return s.steps }
 func (s *Snapshot) EIP() uint32 { return s.eip }
 
 // NewMachine instantiates a fresh machine from the snapshot with its own
-// copy of the address space and the given syscall handler.
+// copy of the address space, the given syscall handler, and the capturing
+// machine's Tuning. The knobs are set before the first Restore, so a
+// NoDirtyTracking snapshot yields a machine that never arms a bitmap.
 func (s *Snapshot) NewMachine(sys SyscallHandler) *Machine {
-	m := &Machine{Mem: NewMemory(), Sys: sys}
+	m := &Machine{Mem: NewMemory(), Sys: sys, Tuning: s.tuning}
 	// Restore against an empty address space maps fresh regions.
 	if err := m.Restore(s); err != nil {
 		// Unreachable: an empty memory cannot mismatch the snapshot.
@@ -111,8 +118,8 @@ func (s *Snapshot) NewMachine(sys SyscallHandler) *Machine {
 // from any other snapshot, or with NoDirtyTracking set, falls back to the
 // full-image copy.
 //
-// The syscall handler is left untouched: callers pair each Restore with
-// the kernel restored for the same run.
+// The syscall handler and the machine's own Tuning are left untouched:
+// callers pair each Restore with the kernel restored for the same run.
 func (m *Machine) Restore(s *Snapshot) error {
 	existing := m.Mem.Regions()
 	switch {

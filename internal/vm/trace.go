@@ -131,11 +131,12 @@ func (m *Machine) fuseTrace(pc, end uint32) *trace {
 			if f != nil {
 				break
 			}
-			var tmp islot
-			if err := x86.DecodeInto(&tmp.inst, code); err != nil {
+			var in x86.Inst
+			if err := x86.DecodeInto(&in, code); err != nil {
 				break
 			}
-			tmp.inst.Bind(&tmp.uop)
+			var tmp islot
+			in.Bind(&tmp.uop)
 			m.ICacheMisses++
 			m.Mem.icacheFill(addr, &tmp)
 			s = &tmp

@@ -264,3 +264,41 @@ func TestNoDirtyTrackingKnob(t *testing.T) {
 		t.Errorf("counter = %d, want 10", got)
 	}
 }
+
+// TestNewMachineInheritsTuning pins that a snapshot hands its capturing
+// machine's knobs to every machine NewMachine creates, and that they are
+// in force before the first Restore: a NoDirtyTracking snapshot yields a
+// machine that never arms a bitmap, not one that tracks its first run.
+func TestNewMachineInheritsTuning(t *testing.T) {
+	m := buildCounter(t)
+	m.NoICache = true
+	m.NoDirtyTracking = true
+	m.NoTraces = true
+	snap := m.Snapshot()
+
+	m2 := snap.NewMachine(exitKernel{})
+	if !m2.NoICache || !m2.NoDirtyTracking || !m2.NoTraces {
+		t.Fatalf("NewMachine knobs icache=%v dirty=%v traces=%v, want all set",
+			m2.NoICache, m2.NoDirtyTracking, m2.NoTraces)
+	}
+	for _, r := range m2.Mem.Regions() {
+		if r.dirty != nil {
+			t.Errorf("region %s has a dirty bitmap armed", r.Name)
+		}
+	}
+	if m2.lastSnap != nil {
+		t.Error("NewMachine remembered its snapshot for an O(dirty) restore")
+	}
+	runToExit(t, m2)
+	if err := m2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if m2.DirtyBytesCopied != 0 || m2.FullRestores != 2 {
+		t.Errorf("DirtyBytesCopied = %d, FullRestores = %d; want 0 and 2",
+			m2.DirtyBytesCopied, m2.FullRestores)
+	}
+	if m2.ICacheHits != 0 || m2.ICacheMisses != 0 || m2.TraceHits != 0 {
+		t.Errorf("knobbed machine used the icache or traces: hits=%d misses=%d traces=%d",
+			m2.ICacheHits, m2.ICacheMisses, m2.TraceHits)
+	}
+}

@@ -9,8 +9,10 @@ import (
 )
 
 // diffMachine builds one machine over a private copy of the given code and
-// data images, so the uop and NoUops runs cannot share state.
-func diffMachine(t *testing.T, code []byte, noUops bool, regs [x86.NumRegs]uint32) *Machine {
+// data images, so the uop and switch runs cannot share state. A noICache
+// machine caches nothing, so every retirement decodes afresh and executes
+// through the interpreter switch (exec.go): the uop pipeline's oracle.
+func diffMachine(t *testing.T, code []byte, noICache bool, regs [x86.NumRegs]uint32) *Machine {
 	t.Helper()
 	mem := NewMemory()
 	if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec,
@@ -26,7 +28,7 @@ func diffMachine(t *testing.T, code []byte, noUops bool, regs [x86.NumRegs]uint3
 		t.Fatal(err)
 	}
 	m := New(mem, nopKernel{})
-	m.NoUops = noUops
+	m.NoICache = noICache
 	m.EIP = 0x1000
 	m.Regs = regs
 	return m
@@ -50,11 +52,11 @@ func stepDiff(t *testing.T, label string, mu, ml *Machine, maxSteps int) {
 		eu := mu.Step()
 		el := ml.Step()
 		if !reflect.DeepEqual(eu, el) {
-			t.Fatalf("%s: step %d: uop err %v, legacy err %v", label, i, eu, el)
+			t.Fatalf("%s: step %d: uop err %v, switch err %v", label, i, eu, el)
 		}
 		if mu.Regs != ml.Regs || mu.EIP != ml.EIP || mu.Flags != ml.Flags ||
 			mu.Steps != ml.Steps {
-			t.Fatalf("%s: step %d diverged:\nuop:    regs=%v eip=%#x flags=%#x steps=%d\nlegacy: regs=%v eip=%#x flags=%#x steps=%d",
+			t.Fatalf("%s: step %d diverged:\nuop:    regs=%v eip=%#x flags=%#x steps=%d\nswitch: regs=%v eip=%#x flags=%#x steps=%d",
 				label, i,
 				mu.Regs, mu.EIP, mu.Flags, mu.Steps,
 				ml.Regs, ml.EIP, ml.Flags, ml.Steps)
@@ -70,9 +72,10 @@ func stepDiff(t *testing.T, label string, mu, ml *Machine, maxSteps int) {
 
 // TestUopDifferentialRandom drives fixed-seed random byte streams — mostly
 // garbage interleaved with valid-looking opcode bytes, the same population
-// an injected bit flip produces — through a micro-op machine and a NoUops
-// machine in lock-step and requires identical faults, flags, registers,
-// EIP, step counts and memory at every retirement.
+// an injected bit flip produces — through a micro-op machine and a
+// NoICache (interpreter switch) machine in lock-step and requires
+// identical faults, flags, registers, EIP, step counts and memory at every
+// retirement.
 func TestUopDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EC0DE))
 	const rounds = 400

@@ -90,11 +90,12 @@ func TestUopDispatchCompleteness(t *testing.T) {
 	}
 }
 
-// checkUDParity executes one encoding on a uop machine and a NoUops
-// machine and requires both to raise the same #UD fault.
+// checkUDParity executes one encoding on a uop machine and a NoICache
+// machine (the interpreter switch) and requires both to raise the same #UD
+// fault.
 func checkUDParity(t *testing.T, op x86.Op, form x86.Form, enc []byte) {
 	t.Helper()
-	step := func(noUops bool) error {
+	step := func(noICache bool) error {
 		mem := NewMemory()
 		if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec,
 			Data: append([]byte(nil), enc...)}); err != nil {
@@ -105,19 +106,19 @@ func checkUDParity(t *testing.T, op x86.Op, form x86.Form, enc []byte) {
 			t.Fatal(err)
 		}
 		m := New(mem, nopKernel{})
-		m.NoUops = noUops
+		m.NoICache = noICache
 		m.EIP = 0x1000
 		m.Regs[x86.ESP] = 0x3000 + 256
 		return m.Step()
 	}
 	uopErr := step(false)
-	legacyErr := step(true)
+	switchErr := step(true)
 	var f *Fault
 	if !errors.As(uopErr, &f) || f.Kind != FaultUndefined {
 		t.Errorf("(op=%v form=%v) % x: uop path returned %v, want #UD", op, form, enc, uopErr)
 	}
-	if !reflect.DeepEqual(uopErr, legacyErr) {
-		t.Errorf("(op=%v form=%v) % x: uop path %v, legacy path %v", op, form, enc, uopErr, legacyErr)
+	if !reflect.DeepEqual(uopErr, switchErr) {
+		t.Errorf("(op=%v form=%v) % x: uop path %v, switch path %v", op, form, enc, uopErr, switchErr)
 	}
 }
 

@@ -63,21 +63,6 @@ func BenchmarkStepALULoopNoICache(b *testing.B) {
 	b.ReportMetric(float64(m.Steps), "retired")
 }
 
-// BenchmarkStepALULoopNoUops measures the same loop with micro-op dispatch
-// disabled: every retirement walks the legacy interpreter switch. The gap
-// to BenchmarkStepALULoop is what decode-time handler binding buys.
-func BenchmarkStepALULoopNoUops(b *testing.B) {
-	m := benchMachine(b)
-	m.NoUops = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Steps), "retired")
-}
-
 // branchMachine builds a machine running a jcc-heavy loop: three
 // conditional branches (two data-dependent, one loop-closing) per four ALU
 // retirements, the shape of authentication predicate code.
@@ -112,20 +97,6 @@ func branchMachine(b *testing.B) *vm.Machine {
 // throughput (condition evaluation + relative-target dispatch).
 func BenchmarkStepBranchLoop(b *testing.B) {
 	m := branchMachine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Steps), "retired")
-}
-
-// BenchmarkStepBranchLoopNoUops is the legacy-switch ablation of
-// BenchmarkStepBranchLoop.
-func BenchmarkStepBranchLoopNoUops(b *testing.B) {
-	m := branchMachine(b)
-	m.NoUops = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Step(); err != nil {
@@ -171,20 +142,6 @@ func memMachine(b *testing.B) *vm.Machine {
 // BenchmarkStepMemLoop measures ModRM-memory-operand throughput.
 func BenchmarkStepMemLoop(b *testing.B) {
 	m := memMachine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Steps), "retired")
-}
-
-// BenchmarkStepMemLoopNoUops is the legacy-switch ablation of
-// BenchmarkStepMemLoop.
-func BenchmarkStepMemLoopNoUops(b *testing.B) {
-	m := memMachine(b)
-	m.NoUops = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Step(); err != nil {

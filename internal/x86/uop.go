@@ -14,8 +14,8 @@ package x86
 // bound to a real handler.
 
 // Uop is the bound micro-op form of a decoded Inst. It carries only what
-// handlers read on the hot path; the originating Inst is kept alongside it
-// in the VM's predecoded instruction cache for the NoUops ablation.
+// handlers read on the hot path, and it is all the VM's predecoded
+// instruction cache keeps of a decode.
 type Uop struct {
 	// H indexes the VM's dispatch table (always < NumUopHandlers).
 	H uint16
