@@ -110,8 +110,15 @@ type finalSummary struct {
 	Crashes   int                    `json:"crashes"`
 }
 
-// run is one submitted campaign. Exactly one of eng (in-process engine)
-// or coord (fleet coordinator) executes it.
+// executor runs one campaign: the in-process engine (*campaign.Engine) or
+// a fleet coordinator (*fleet.Coordinator).
+type executor interface {
+	Run(ctx context.Context) (*inject.Stats, error)
+	Resume(ctx context.Context) (*inject.Stats, error)
+	Progress() campaign.Progress
+}
+
+// run is one submitted campaign.
 type run struct {
 	id      string
 	req     submitRequest
@@ -120,28 +127,13 @@ type run struct {
 	// server shutdown). Safe to call repeatedly and after completion.
 	cancel context.CancelFunc
 
-	mu    sync.Mutex
-	eng   *campaign.Engine
-	coord *fleet.Coordinator
+	mu sync.Mutex
+	// exec is swapped for a fresh one if a resume falls back to a fresh
+	// run, so metrics are not double-counted.
+	exec  executor
 	state string // stateRunning / stateDone / stateFailed / stateCanceled
 	err   error
 	stats *inject.Stats
-}
-
-// engine returns the run's current engine, nil for fleet campaigns (it
-// is swapped if a resume falls back to a fresh run).
-func (r *run) engine() *campaign.Engine {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eng
-}
-
-// coordinator returns the run's fleet coordinator, nil for in-process
-// campaigns.
-func (r *run) coordinator() *fleet.Coordinator {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.coord
 }
 
 // finish records the campaign's terminal state. Cancellation is a state
@@ -180,11 +172,7 @@ func (r *run) view() campaignView {
 		State:    r.state,
 		Resumed:  r.resumed,
 	}
-	if r.coord != nil {
-		v.Progress = r.coord.Progress()
-	} else {
-		v.Progress = r.eng.Progress()
-	}
+	v.Progress = r.exec.Progress()
 	if r.err != nil {
 		v.Error = r.err.Error()
 	}
@@ -455,13 +443,13 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	id := fmt.Sprintf("c%d", s.nextID)
 	runCtx, cancel := context.WithCancel(context.Background())
-	rn := &run{id: id, req: req, resumed: resume, state: stateRunning, cancel: cancel}
-	fleetCfg := fleet.Config{Campaign: cfg, Workers: workers, ShardRuns: req.ShardRuns}
-	if len(workers) > 0 {
-		rn.coord = fleet.New(fleetCfg)
-	} else {
-		rn.eng = campaign.New(cfg)
+	newExecutor := func() executor {
+		if len(workers) > 0 {
+			return fleet.New(fleet.Config{Campaign: cfg, Workers: workers, ShardRuns: req.ShardRuns})
+		}
+		return campaign.New(cfg)
 	}
+	rn := &run{id: id, req: req, resumed: resume, state: stateRunning, cancel: cancel, exec: newExecutor()}
 	s.runs[id] = rn
 	s.order = append(s.order, id)
 	if cfg.Journal != "" {
@@ -486,50 +474,27 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 				s.mu.Unlock()
 			}()
 		}
-		// fresh swaps in a new executor for the resume-fallback path (so
-		// metrics are not double-counted) and runs it from scratch.
-		fresh := func() (*inject.Stats, error) {
-			if len(workers) > 0 {
-				co := fleet.New(fleetCfg)
-				rn.mu.Lock()
-				rn.coord, rn.resumed = co, false
-				rn.mu.Unlock()
-				return co.Run(runCtx)
-			}
-			e2 := campaign.New(cfg)
+		// Only this goroutine writes rn.exec, so it reads it unlocked.
+		if !resume {
+			stats, err = rn.exec.Run(runCtx)
+			return
+		}
+		stats, err = rn.exec.Resume(runCtx)
+		if err != nil && runCtx.Err() == nil && !errors.Is(err, campaign.ErrJournalBusy) {
+			// A foreign or corrupt journal must not wedge the service:
+			// fall back to a fresh run, which truncates the journal. A
+			// canceled resume or a busy journal is NOT corruption —
+			// falling back would truncate a journal we must preserve.
+			fresh := newExecutor()
 			rn.mu.Lock()
-			rn.eng, rn.resumed = e2, false
+			rn.exec, rn.resumed = fresh, false
 			rn.mu.Unlock()
-			return e2.Run(runCtx)
-		}
-		resumeOnce := func() (*inject.Stats, error) {
-			if co := rn.coordinator(); co != nil {
-				return co.Resume(runCtx)
+			var ferr error
+			if stats, ferr = fresh.Run(runCtx); ferr == nil {
+				err = nil
+			} else {
+				err = errors.Join(err, ferr)
 			}
-			return rn.engine().Resume(runCtx)
-		}
-		runOnce := func() (*inject.Stats, error) {
-			if co := rn.coordinator(); co != nil {
-				return co.Run(runCtx)
-			}
-			return rn.engine().Run(runCtx)
-		}
-		if resume {
-			stats, err = resumeOnce()
-			if err != nil && runCtx.Err() == nil && !errors.Is(err, campaign.ErrJournalBusy) {
-				// A foreign or corrupt journal must not wedge the service:
-				// fall back to a fresh run, which truncates the journal. A
-				// canceled resume or a busy journal is NOT corruption —
-				// falling back would truncate a journal we must preserve.
-				var ferr error
-				if stats, ferr = fresh(); ferr == nil {
-					err = nil
-				} else {
-					err = errors.Join(err, ferr)
-				}
-			}
-		} else {
-			stats, err = runOnce()
 		}
 	}()
 
@@ -650,8 +615,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	v := metricsView{Campaigns: make(map[string]campaign.Metrics, len(s.runs))}
 	for id, rn := range s.runs {
-		if co := rn.coordinator(); co != nil {
-			fm := co.Metrics()
+		rn.mu.Lock()
+		exec, running := rn.exec, rn.state == stateRunning
+		rn.mu.Unlock()
+		switch exec := exec.(type) {
+		case *fleet.Coordinator:
+			fm := exec.Metrics()
 			if v.Fleet == nil {
 				v.Fleet = make(map[string]fleet.Metrics)
 			}
@@ -663,8 +632,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			v.CacheInvalid += fm.CacheInvalid
 			v.ConvergedRuns += fm.ConvergedRuns
 			v.InstructionsSaved += fm.InstructionsSaved
-		} else {
-			m := rn.engine().Metrics()
+		case *campaign.Engine:
+			m := exec.Metrics()
 			v.Campaigns[id] = m
 			v.TotalRuns += m.RunsTotal
 			v.ICacheHits += m.ICacheHits
@@ -680,7 +649,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			v.ConvergedRuns += m.ConvergedRuns
 			v.InstructionsSaved += m.InstructionsSaved
 		}
-		if !rn.terminal() {
+		if running {
 			v.Running++
 		}
 	}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,9 +18,7 @@ import (
 	"faultsec/internal/disasm"
 	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
-	"faultsec/internal/kernel"
 	"faultsec/internal/target"
-	"faultsec/internal/vm"
 	"faultsec/internal/x86"
 
 	// Register the built-in target applications.
@@ -106,10 +103,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := inject.RunOne(app, sc, golden, ex, 0)
+	// One execution serves the outcome, the transcript and the trace.
+	session, err := inject.Activate(app, sc, tgt.Addr, 0, nil)
 	if err != nil {
 		return err
 	}
+	tr := &inject.Trace{}
+	var observe inject.Observer
+	if *trace > 0 {
+		observe = tr.Recorder(session.ActivationSteps, *trace)
+	}
+	mut := ex.Mutation()
+	end, window, err := inject.Execute(session, &tgt, &mut, observe)
+	if err != nil {
+		return err
+	}
+	res := inject.ResultFromRun(golden, ex, &end, sc.ShouldGrant, window)
 	fmt.Printf("scenario:  %s/%s (should grant: %v)\n", app.Name, sc.Name, sc.ShouldGrant)
 	fmt.Printf("outcome:   %s  location=%s activated=%v granted=%v",
 		res.Outcome, res.Location, res.Activated, res.Granted)
@@ -118,40 +127,14 @@ func run() error {
 	}
 	fmt.Println()
 
-	// Re-run once more verbosely to show the transcript.
 	fmt.Println("\ntranscript:")
-	transcript, runErr := verboseRun(app, sc, ex)
-	fmt.Print(transcript)
-	fmt.Printf("termination: %v\n", runErr)
+	fmt.Print(session.Kernel.Transcript.String())
+	fmt.Printf("termination: %v\n", end.Err)
 
 	if *trace > 0 {
-		tr, terr := inject.TraceRun(app, sc, ex, 0, *trace)
-		if terr != nil {
-			return terr
-		}
+		tr.End = end.Err
 		fmt.Println("\nexecution after activation:")
 		fmt.Print(tr.String())
 	}
 	return nil
-}
-
-func verboseRun(app *target.App, sc target.Scenario, ex inject.Experiment) (string, error) {
-	client := sc.New()
-	k := kernel.New(client)
-	ld, err := app.Image.Load(k, nil)
-	if err != nil {
-		return "", err
-	}
-	m := ld.Machine
-	m.SetBreakpoint(ex.Target.Addr)
-	runErr := m.Run()
-	var bp *vm.BreakpointHit
-	if errors.As(runErr, &bp) {
-		if err := m.Mem.Poke(ex.Target.Addr, ex.CorruptedBytes()); err != nil {
-			return "", err
-		}
-		m.ClearBreakpoint(ex.Target.Addr)
-		runErr = m.Run()
-	}
-	return k.Transcript.String(), runErr
 }

@@ -184,7 +184,9 @@ func rewind(wm *vm.Machine, snap *snapEntry, sys vm.SyscallHandler) (*vm.Machine
 
 // goldenEnd is the observable end of a run from this snapshot that
 // rejoined the shadow: the golden session's, activated at the breakpoint.
-func (s *snapEntry) goldenEnd(golden *classify.Golden) *classify.Run {
+// It also returns the server bytes that end sends inside the transient
+// window.
+func (s *snapEntry) goldenEnd(golden *classify.Golden) (*classify.Run, int) {
 	return &classify.Run{
 		Activated:       true,
 		Err:             &vm.ExitStatus{Code: golden.ExitCode},
@@ -192,5 +194,5 @@ func (s *snapEntry) goldenEnd(golden *classify.Golden) *classify.Run {
 		Granted:         golden.Granted,
 		ActivationSteps: s.activationSteps,
 		EndSteps:        golden.Steps,
-	}
+	}, len(golden.ServerBytes) - s.bytesAtActivation
 }

@@ -124,12 +124,7 @@ const DefaultCheckpointEvery = 256
 // each wave costs one extra golden session.
 const maxResidentSnapshots = 256
 
-func (c *Config) effectiveFuel() uint64 {
-	if c.Fuel == 0 {
-		return inject.DefaultFuel
-	}
-	return c.Fuel
-}
+func (c *Config) effectiveFuel() uint64 { return inject.EffectiveFuel(c.Fuel) }
 
 func (c *Config) effectiveWorkers(n int) int {
 	w := c.Parallelism
@@ -305,25 +300,6 @@ type snapEntry struct {
 	// bytesAtActivation is the server-to-client byte count at the
 	// breakpoint (transient-window accounting starts here).
 	bytesAtActivation int
-}
-
-// endRun is the observable end of an injected run from this snapshot
-// that stopped with endErr.
-func (s *snapEntry) endRun(endErr error, m *vm.Machine, k *kernel.Kernel, granted bool) *classify.Run {
-	return &classify.Run{
-		Activated:       true,
-		Err:             endErr,
-		ServerBytes:     k.Transcript.ServerBytes(),
-		Granted:         granted,
-		ActivationSteps: s.activationSteps,
-		EndSteps:        m.Steps,
-	}
-}
-
-// result classifies a run from this snapshot, counting the bytes it sent
-// inside the transient window from activation on.
-func (s *snapEntry) result(golden *classify.Golden, ex inject.Experiment, run *classify.Run, shouldGrant bool) inject.Result {
-	return inject.ResultFromRun(golden, ex, run, shouldGrant, len(run.ServerBytes)-s.bytesAtActivation)
 }
 
 // captureSnapshots runs one golden sweep with every wave target's
@@ -618,7 +594,8 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	}
 
 	var chk convergenceChecker
-	goldenEnd := snap.goldenEnd(golden)
+	goldenEnd, goldenWindow := snap.goldenEnd(golden)
+	shouldGrant := e.cfg.Scenario.ShouldGrant
 	for _, idx := range g.indices {
 		if ctx.Err() != nil {
 			return wm
@@ -638,28 +615,26 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			return wm
 		}
 		// The snapshot IS the breakpoint-stop state (EIP at the target), so
-		// applying the mutation here matches the naive debugger protocol for
-		// every kind: byte corruptions poke memory, transient skip/register
-		// faults perturb the restored machine state directly.
-		if err := mut.Apply(wm, &ex.Target); err != nil {
+		// the restored machine is a session ready for the mutation.
+		s := inject.Session{Machine: wm, Kernel: k2, Client: fresh,
+			ActivationSteps: snap.activationSteps, BytesAtActivation: snap.bytesAtActivation}
+		run, window, err := inject.Execute(&s, &ex.Target, &mut, nil)
+		if err != nil {
 			fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
 			return wm
 		}
-		endErr := wm.Run()
 		e.snapshotRuns.Add(1)
-		shouldGrant := e.cfg.Scenario.ShouldGrant
 		if converging && chk.at != 0 {
 			e.convergedRuns.Add(1)
 			e.instructionsSaved.Add(int64(golden.Steps - chk.at))
-			res := snap.result(golden, ex, goldenEnd, shouldGrant)
+			res := inject.ResultFromRun(golden, ex, goldenEnd, shouldGrant, goldenWindow)
 			if onConverged != nil {
-				ran := snap.endRun(endErr, wm, k2, fresh.Granted())
-				onConverged(idx, res, snap.result(golden, ex, ran, shouldGrant))
+				onConverged(idx, res, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
 			}
 			finish(idx, res)
 			continue
 		}
-		finish(idx, snap.result(golden, ex, snap.endRun(endErr, wm, k2, fresh.Granted()), shouldGrant))
+		finish(idx, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
 	}
 	return wm
 }

@@ -17,6 +17,15 @@ import (
 // and classify as hangs (FSV).
 const DefaultFuel = 400_000
 
+// EffectiveFuel is the per-run instruction budget for a configured fuel:
+// 0 means DefaultFuel.
+func EffectiveFuel(fuel uint64) uint64 {
+	if fuel == 0 {
+		return DefaultFuel
+	}
+	return fuel
+}
+
 // Config parameterizes one campaign: one application, one client access
 // pattern, one encoding scheme, every bit of every branch instruction in
 // the authentication functions.
@@ -175,12 +184,10 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // RunExperimentsNaive is the reference executor: one full from-scratch
 // server run per experiment, in parallel. It is the differential-testing
 // oracle for the snapshot engine (internal/campaign), which runs every
-// production campaign.
+// production campaign. Each run reaches its breakpoint by its own
+// Activate prefix, where the engine restores a sweep snapshot.
 func RunExperimentsNaive(ctx context.Context, cfg Config, experiments []Experiment) (*Stats, error) {
-	fuel := cfg.Fuel
-	if fuel == 0 {
-		fuel = DefaultFuel
-	}
+	fuel := EffectiveFuel(cfg.Fuel)
 	// Resolve the scheme's image so every run executes the same hardened
 	// app the experiment list was enumerated against (ForScheme caches, so
 	// a caller that already resolved gets the identical *App back).
@@ -217,7 +224,7 @@ func RunExperimentsNaive(ctx context.Context, cfg Config, experiments []Experime
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				results[i], errs[i] = RunOneWatched(cfg.App, cfg.Scenario, golden, experiments[i], fuel, cfValid)
+				results[i], errs[i] = runOne(cfg.App, cfg.Scenario, golden, experiments[i], fuel, cfValid)
 				d := int(done.Add(1))
 				if cfg.Progress != nil {
 					cfg.Progress(d, len(experiments))

@@ -1,9 +1,13 @@
 // Package inject implements the study's error-injection machinery: an
-// NFTAPE-style debugger-based injector over the VM (run to a breakpoint at
-// the target instruction, flip one bit, continue), selective-exhaustive
+// NFTAPE-style debugger-based injector over the VM, selective-exhaustive
 // campaign enumeration over the branch instructions of the authentication
-// functions, a parallel campaign runner, and the random whole-text
-// injection testbed from the paper's §7.
+// functions, the naive reference campaign runner, and the random
+// whole-text injection testbed from the paper's §7.
+//
+// One experiment is Activate (run a fresh server to a breakpoint at the
+// target instruction) then Execute (apply the mutation to a session
+// stopped there, run it to its end). Every single-run path finishes
+// through Execute, the campaign engine's snapshot-restored runs included.
 package inject
 
 import (
@@ -13,7 +17,6 @@ import (
 	"faultsec/internal/classify"
 	"faultsec/internal/disasm"
 	"faultsec/internal/encoding"
-	"faultsec/internal/kernel"
 	"faultsec/internal/target"
 	"faultsec/internal/vm"
 	"faultsec/internal/x86"
@@ -90,33 +93,28 @@ func TotalBits(targets []Target) int {
 }
 
 // GoldenRun executes one fault-free session and records the golden
-// behaviour. It fails if the fault-free server does not exit cleanly.
+// behaviour; fuel 0 means DefaultFuel. It fails if the fault-free server
+// does not exit cleanly.
 func GoldenRun(app *target.App, sc target.Scenario, fuel uint64) (*classify.Golden, error) {
-	client := sc.New()
-	k := kernel.New(client)
-	ld, err := app.Image.Load(k, nil)
+	s, err := load(app, sc, fuel, nil)
 	if err != nil {
-		return nil, fmt.Errorf("inject: golden load: %w", err)
+		return nil, fmt.Errorf("inject: golden: %w", err)
 	}
-	m := ld.Machine
-	if fuel != 0 {
-		m.Fuel = fuel
-	}
-	runErr := m.Run()
+	runErr := s.Machine.Run()
 	var exit *vm.ExitStatus
 	if !errors.As(runErr, &exit) {
 		return nil, fmt.Errorf("inject: golden run of %s/%s did not exit cleanly: %w\ntranscript:\n%s",
-			app.Name, sc.Name, runErr, k.Transcript.String())
+			app.Name, sc.Name, runErr, s.Kernel.Transcript.String())
 	}
-	if client.Granted() != sc.ShouldGrant {
+	if s.Client.Granted() != sc.ShouldGrant {
 		return nil, fmt.Errorf("inject: golden run of %s/%s granted=%v, want %v",
-			app.Name, sc.Name, client.Granted(), sc.ShouldGrant)
+			app.Name, sc.Name, s.Client.Granted(), sc.ShouldGrant)
 	}
 	return &classify.Golden{
-		ServerBytes: k.Transcript.ServerBytes(),
-		Granted:     client.Granted(),
+		ServerBytes: s.Kernel.Transcript.ServerBytes(),
+		Granted:     s.Client.Granted(),
 		ExitCode:    exit.Code,
-		Steps:       m.Steps,
+		Steps:       s.Machine.Steps,
 	}, nil
 }
 
@@ -295,63 +293,6 @@ type Result struct {
 	// DetectedByWatchdog reports that the control-flow watchdog (when
 	// enabled) terminated the run.
 	DetectedByWatchdog bool
-}
-
-// RunOne executes a single injection experiment against a fresh server
-// instance and classifies it against the golden run.
-func RunOne(app *target.App, sc target.Scenario, golden *classify.Golden,
-	ex Experiment, fuel uint64) (Result, error) {
-	return RunOneWatched(app, sc, golden, ex, fuel, nil)
-}
-
-// RunOneWatched is RunOne with an optional control-flow watchdog: when
-// cfValid is non-nil, the machine stops with a CFE detection as soon as
-// EIP leaves the program's known instruction boundaries (a software
-// signature checker in the style of the paper's related work).
-func RunOneWatched(app *target.App, sc target.Scenario, golden *classify.Golden,
-	ex Experiment, fuel uint64, cfValid map[uint32]struct{}) (Result, error) {
-	client := sc.New()
-	k := kernel.New(client)
-	ld, err := app.Image.Load(k, nil)
-	if err != nil {
-		return Result{}, fmt.Errorf("inject: load: %w", err)
-	}
-	m := ld.Machine
-	if fuel != 0 {
-		m.Fuel = fuel
-	}
-	m.CFValid = cfValid
-
-	// Debugger protocol: run to the target instruction, apply the fault
-	// model's mutation (corrupt bytes, skip, or register flip), resume.
-	m.SetBreakpoint(ex.Target.Addr)
-	runErr := m.Run()
-	activated := false
-	var activationSteps uint64
-	bytesAtActivation := 0
-	var bp *vm.BreakpointHit
-	if errors.As(runErr, &bp) {
-		activated = true
-		activationSteps = m.Steps
-		bytesAtActivation = len(k.Transcript.ServerBytes())
-		mut := ex.Mutation()
-		if applyErr := mut.Apply(m, &ex.Target); applyErr != nil {
-			return Result{}, applyErr
-		}
-		m.ClearBreakpoint(ex.Target.Addr)
-		runErr = m.Run()
-	}
-
-	serverBytes := k.Transcript.ServerBytes()
-	run := &classify.Run{
-		Activated:       activated,
-		Err:             runErr,
-		ServerBytes:     serverBytes,
-		Granted:         client.Granted(),
-		ActivationSteps: activationSteps,
-		EndSteps:        m.Steps,
-	}
-	return ResultFromRun(golden, ex, run, sc.ShouldGrant, len(serverBytes)-bytesAtActivation), nil
 }
 
 // ResultFromRun classifies one completed (possibly injected) session into

@@ -1,12 +1,10 @@
 package inject
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"faultsec/internal/disasm"
-	"faultsec/internal/kernel"
 	"faultsec/internal/target"
 	"faultsec/internal/vm"
 	"faultsec/internal/x86"
@@ -49,37 +47,42 @@ func (t *Trace) String() string {
 // TraceRun executes one experiment and records up to maxEntries decoded
 // instructions after error activation — a window into exactly what the
 // corrupted server does between activation and its fate (the paper's
-// transient-window investigation, instruction by instruction).
+// transient-window investigation, instruction by instruction). Fuel 0
+// means DefaultFuel.
 func TraceRun(app *target.App, sc target.Scenario, ex Experiment,
 	fuel uint64, maxEntries int) (*Trace, error) {
-	client := sc.New()
-	k := kernel.New(client)
-	ld, err := app.Image.Load(k, nil)
+	s, err := Activate(app, sc, ex.Target.Addr, fuel, nil)
 	if err != nil {
-		return nil, fmt.Errorf("inject: trace load: %w", err)
-	}
-	m := ld.Machine
-	if fuel != 0 {
-		m.Fuel = fuel
-	}
-	m.SetBreakpoint(ex.Target.Addr)
-	runErr := m.Run()
-	var bp *vm.BreakpointHit
-	if !errors.As(runErr, &bp) {
-		return &Trace{End: runErr}, nil // never activated
-	}
-	mut := ex.Mutation()
-	if err := mut.Apply(m, &ex.Target); err != nil {
 		return nil, fmt.Errorf("inject: trace: %w", err)
 	}
-	m.ClearBreakpoint(ex.Target.Addr)
-
 	tr := &Trace{}
-	activationSteps := m.Steps
-	for len(tr.Entries) < maxEntries {
+	mut := ex.Mutation()
+	run, _, err := Execute(s, &ex.Target, &mut, tr.Recorder(s.ActivationSteps, maxEntries))
+	if err != nil {
+		return nil, fmt.Errorf("inject: trace: %w", err)
+	}
+	tr.End = run.Err
+	return tr, nil
+}
+
+// Recorder returns an Execute observer that appends one entry per
+// instruction to t, numbering steps from activationSteps, until t holds
+// maxEntries entries; it then marks t truncated and declines. Each entry
+// decodes the bytes as they are when the instruction runs, so a corrupted
+// instruction shows as executed.
+func (t *Trace) Recorder(activationSteps uint64, maxEntries int) Observer {
+	return func(m *vm.Machine) bool {
+		if len(t.Entries) >= maxEntries {
+			t.Truncated = true
+			return false
+		}
 		pc := m.EIP
-		entry := TraceEntry{Step: m.Steps - activationSteps, Addr: pc}
-		if raw, perr := m.Mem.Peek(pc, x86.MaxInstLen); perr == nil {
+		entry := TraceEntry{Step: m.Steps - activationSteps, Addr: pc, Text: "(unmapped)"}
+		if r := m.Mem.Find(pc); r != nil {
+			// Near the end of its region an instruction has fewer than
+			// MaxInstLen bytes behind it. The clamped span lies inside r,
+			// so Peek cannot fail.
+			raw, _ := m.Mem.Peek(pc, min(x86.MaxInstLen, int(r.End()-pc)))
 			if in, derr := x86.Decode(raw); derr == nil {
 				entry.Raw = raw[:in.Len]
 				entry.Text = disasm.Format(&in, pc)
@@ -87,16 +90,8 @@ func TraceRun(app *target.App, sc target.Scenario, ex Experiment,
 				entry.Raw = raw[:1]
 				entry.Text = fmt.Sprintf("(bad %#02x)", raw[0])
 			}
-		} else {
-			entry.Text = "(unmapped)"
 		}
-		tr.Entries = append(tr.Entries, entry)
-		if stepErr := m.Step(); stepErr != nil {
-			tr.End = stepErr
-			return tr, nil
-		}
+		t.Entries = append(t.Entries, entry)
+		return true
 	}
-	tr.Truncated = true
-	tr.End = m.Run()
-	return tr, nil
 }
