@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,10 @@ import (
 // the submit path), then scrape GET /metrics?format=prometheus and check
 // the text format — media type, HELP/TYPE annotations, aggregate counters
 // consistent with the JSON view, and the per-campaign series labeled with
-// the campaign id.
+// the campaign id. Every aggregate family of the exposition table must
+// render exactly one sample equal to the JSON value under its key, and
+// every numeric JSON aggregate must have a family, so a counter added to
+// one rendering only fails here.
 func TestMetricsPrometheusFormat(t *testing.T) {
 	ts, _ := newTestService(t)
 	v := postCampaign(t, ts, `{"app":"httpd","scenario":"Client3"}`)
@@ -21,6 +25,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 	var m metricsView
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", code)
+	}
+	var raw map[string]any
+	if code := getJSON(t, ts.URL+"/metrics", &raw); code != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", code)
 	}
 
@@ -55,12 +63,45 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 	}
 	// Every non-comment line is `name[{labels}] value` — no stray JSON.
+	samples := make(map[string][]string)
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		if fields := strings.Fields(line); len(fields) != 2 || !strings.HasPrefix(fields[0], "campaignd_") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 || !strings.HasPrefix(fields[0], "campaignd_") {
 			t.Errorf("malformed exposition line %q", line)
+			continue
+		}
+		samples[fields[0]] = append(samples[fields[0]], fields[1])
+	}
+
+	// One table drives both renderings of the aggregates: each family has
+	// exactly one sample, equal to the JSON value (an omitted key is 0).
+	covered := make(map[string]bool)
+	for _, f := range aggregateFamilies {
+		covered[f.key] = true
+		var want float64
+		if jv, ok := raw[f.key]; ok {
+			n, isNum := jv.(float64)
+			if !isNum {
+				t.Errorf("JSON key %q of family %s is %T, not a number", f.key, f.name, jv)
+				continue
+			}
+			want = n
+		}
+		got := samples[f.name]
+		if len(got) != 1 {
+			t.Errorf("family %s has %d unlabeled samples, want 1", f.name, len(got))
+			continue
+		}
+		if n, err := strconv.ParseFloat(got[0], 64); err != nil || n != want {
+			t.Errorf("family %s = %s, JSON %q = %v", f.name, got[0], f.key, want)
+		}
+	}
+	for key, jv := range raw {
+		if _, isNum := jv.(float64); isNum && !covered[key] {
+			t.Errorf("JSON aggregate %q has no Prometheus family", key)
 		}
 	}
 
@@ -81,7 +122,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 // TestMetricsConvergenceCounters checks that the golden-convergence
 // counters of an engine regflip campaign and a fleet bitflip campaign reach
-// both the JSON aggregates and the Prometheus exposition.
+// both the JSON aggregates and the Prometheus exposition, and that the
+// fleet campaign's VM counters cross the worker boundary into the
+// aggregates too.
 func TestMetricsConvergenceCounters(t *testing.T) {
 	ts, _ := newTestService(t)
 	v := postCampaign(t, ts, `{"app":"httpd","scenario":"Client4","faultModel":"regflip"}`)
@@ -94,6 +137,14 @@ func TestMetricsConvergenceCounters(t *testing.T) {
 		t.Fatalf("GET /metrics: status %d", code)
 	}
 	cm, fm := m.Campaigns[v.ID], m.Fleet[fv.ID]
+	if fm.ICacheHits == 0 || fm.TraceHits == 0 || fm.DirtyBytesCopied == 0 {
+		t.Errorf("fleet campaign VM counters did not cross the worker boundary: %+v", fm.Work)
+	}
+	sum := cm.Work
+	sum.Add(fm.Work)
+	if m.Work != sum {
+		t.Errorf("aggregate work %+v, want the campaigns' sum %+v", m.Work, sum)
+	}
 	if cm.ConvergedRuns == 0 || cm.InstructionsSaved == 0 {
 		t.Fatalf("regflip campaign converged %d runs saving %d instructions, want both > 0",
 			cm.ConvergedRuns, cm.InstructionsSaved)

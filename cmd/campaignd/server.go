@@ -570,30 +570,10 @@ type metricsView struct {
 	Fleet map[string]fleet.Metrics `json:"fleet,omitempty"`
 	// TotalRuns sums fresh runs across campaigns (engine and fleet).
 	TotalRuns int64 `json:"totalRuns"`
-	// ICacheHits and ICacheMisses sum the per-campaign predecoded
-	// instruction cache counters.
-	ICacheHits   int64 `json:"icacheHits"`
-	ICacheMisses int64 `json:"icacheMisses"`
-	// TraceHits and TraceExits sum the per-campaign superblock trace
-	// counters; DirtyBytesCopied and FullRestores sum the per-campaign
-	// snapshot-restore counters.
-	TraceHits        int64 `json:"traceHits"`
-	TraceExits       int64 `json:"traceExits"`
-	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
-	FullRestores     int64 `json:"fullRestores"`
-	// CacheHits/CacheMisses/CacheWrites/CacheInvalid sum the per-campaign
-	// content-addressed result-store counters (engine and fleet). Omitted
-	// while zero so cache-less deployments keep the pre-cache wire shape.
-	CacheHits    int64 `json:"cacheHits,omitempty"`
-	CacheMisses  int64 `json:"cacheMisses,omitempty"`
-	CacheWrites  int64 `json:"cacheWrites,omitempty"`
-	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
-	// ConvergedRuns and InstructionsSaved sum the per-campaign golden-
-	// convergence counters (engine and fleet). Omitted while zero, like the
-	// cache counters, so campaigns in which no run converged keep the wire
-	// shape.
-	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
-	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
+	// Work and CacheCounters sum the per-campaign work and result-cache
+	// counters (engine and fleet).
+	campaign.Work
+	campaign.CacheCounters
 	// Running is the number of campaigns still executing.
 	Running int `json:"running"`
 	// WorkerShardsServed and WorkerRunsServed count work this daemon
@@ -626,28 +606,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			v.Fleet[id] = fm
 			v.TotalRuns += fm.RunsTotal
-			v.CacheHits += fm.CacheHits
-			v.CacheMisses += fm.CacheMisses
-			v.CacheWrites += fm.CacheWrites
-			v.CacheInvalid += fm.CacheInvalid
-			v.ConvergedRuns += fm.ConvergedRuns
-			v.InstructionsSaved += fm.InstructionsSaved
+			v.Work.Add(fm.Work)
+			v.CacheCounters.Add(fm.CacheCounters)
 		case *campaign.Engine:
 			m := exec.Metrics()
 			v.Campaigns[id] = m
 			v.TotalRuns += m.RunsTotal
-			v.ICacheHits += m.ICacheHits
-			v.ICacheMisses += m.ICacheMisses
-			v.TraceHits += m.TraceHits
-			v.TraceExits += m.TraceExits
-			v.DirtyBytesCopied += m.DirtyBytesCopied
-			v.FullRestores += m.FullRestores
-			v.CacheHits += m.CacheHits
-			v.CacheMisses += m.CacheMisses
-			v.CacheWrites += m.CacheWrites
-			v.CacheInvalid += m.CacheInvalid
-			v.ConvergedRuns += m.ConvergedRuns
-			v.InstructionsSaved += m.InstructionsSaved
+			v.Work.Add(m.Work)
+			v.CacheCounters.Add(m.CacheCounters)
 		}
 		if running {
 			v.Running++

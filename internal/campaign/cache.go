@@ -28,7 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 
 	"faultsec/internal/castore"
 	"faultsec/internal/classify"
@@ -170,12 +170,12 @@ type engineCache struct {
 	img      *image.Image
 }
 
-// buildCache derives the per-target cache keys for this run. Targets whose
-// experiments do not cover their full local mutation range exactly once
-// (random campaigns, hand-built experiment lists) are skipped: an entry
-// must always hold a target's complete range so any subset of pending
-// indices can adopt from it.
-func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (*engineCache, error) {
+// buildCache derives the per-target cache keys for this run from the
+// fault-free session golden. Targets whose experiments do not cover their
+// full local mutation range exactly once (random campaigns, hand-built
+// experiment lists) are skipped: an entry must always hold a target's
+// complete range so any subset of pending indices can adopt from it.
+func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (*CacheView, error) {
 	model, err := faultmodel.Get(e.cfg.Model)
 	if err != nil {
 		return nil, err
@@ -245,7 +245,7 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 		}
 		ec.targets[addr] = ct
 	}
-	return ec, nil
+	return &CacheView{ec: ec}, nil
 }
 
 // coversRange reports whether the experiments at indices cover local
@@ -395,55 +395,6 @@ func writeKeyField(w io.Writer, label, value string) {
 	fmt.Fprintf(w, "%s\x00%s\x00", label, value)
 }
 
-// adoptGroup consults the store for one pending group, class by class, and
-// finishes every pending experiment covered by a valid entry (which
-// journals and streams them exactly like fresh runs — a warm campaign is
-// resumable and fleet-mergeable like a cold one). Returns the indices
-// still pending, in their original order; hit/miss/invalid counters are
-// updated here. A partial adoption is normal on a rebuilt image: the
-// function-keyed local class hits while the whole-text-keyed escape class
-// misses, and only the latter's mutations re-execute.
-func (e *Engine) adoptGroup(ec *engineCache, g *group, exps []inject.Experiment,
-	finish func(int, inject.Result)) []int {
-	ct, ok := ec.targets[g.addr]
-	if !ok {
-		return g.indices
-	}
-	rem := g.indices
-	for _, ref := range ct.classes() {
-		pos := make(map[int]int, len(ref.lis)) // local index -> entry slot
-		for i, li := range ref.lis {
-			pos[li] = i
-		}
-		var mine, rest []int
-		for _, idx := range rem {
-			if _, member := pos[localIndex(exps[idx])]; member {
-				mine = append(mine, idx)
-			} else {
-				rest = append(rest, idx)
-			}
-		}
-		if len(mine) == 0 {
-			continue
-		}
-		ent, err := ec.load(ref, ct.count)
-		if err != nil {
-			var ce *castore.CorruptError
-			if errors.As(err, &ce) || errors.Is(err, errEntryInvalid) {
-				e.cacheInvalid.Add(1)
-			}
-			e.cacheMisses.Add(int64(len(mine)))
-			continue
-		}
-		for _, idx := range mine {
-			finish(idx, ent.Results[pos[localIndex(exps[idx])]].ToResult(exps[idx]))
-		}
-		e.cacheHits.Add(int64(len(mine)))
-		rem = rest
-	}
-	return rem
-}
-
 // errEntryInvalid reports an entry that decoded but failed semantic
 // validation (wrong count, impossible outcome, summary mismatch).
 var errEntryInvalid = errors.New("campaign: cache entry failed validation")
@@ -543,18 +494,39 @@ func (ec *engineCache) writeBack(addr uint32, exps []inject.Experiment,
 	return wrote, nil
 }
 
-// CacheView is the fleet coordinator's handle on the result cache: the
-// exact key derivation and entry validation the engine uses, exposed per
-// target group so a coordinator can adopt cached groups before leasing
-// any shard and persist completed groups when shards settle. Counter
-// methods are safe for concurrent use.
+// CacheCounters is the result cache's counter record: runs adopted from
+// the store, runs executed because their target group had no usable
+// entry, entries persisted, and entries rejected as corrupt or internally
+// inconsistent (each rejection also surfaces as misses for the group's
+// runs). Every key is omitted while zero, so cache-less deployments keep
+// the pre-cache wire shape.
+type CacheCounters struct {
+	CacheHits    int64 `json:"cacheHits,omitempty"`
+	CacheMisses  int64 `json:"cacheMisses,omitempty"`
+	CacheWrites  int64 `json:"cacheWrites,omitempty"`
+	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
+}
+
+// Add adds o to c.
+func (c *CacheCounters) Add(o CacheCounters) {
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.CacheWrites += o.CacheWrites
+	c.CacheInvalid += o.CacheInvalid
+}
+
+// CacheView is one campaign's handle on the result cache: the key
+// derivation and entry validation per target group, with the counters of
+// every adoption and write-back made through it. The engine adopts
+// through it before scheduling any group and writes back as groups
+// complete; a fleet coordinator adopts before leasing any shard and
+// writes back when shards settle. Its methods are safe for concurrent
+// use.
 type CacheView struct {
 	ec *engineCache
 
-	hits    atomic.Int64
-	misses  atomic.Int64
-	writes  atomic.Int64
-	invalid atomic.Int64
+	mu sync.Mutex
+	n  CacheCounters
 }
 
 // NewCacheView builds a cache view for cfg over its full experiment
@@ -570,34 +542,41 @@ func NewCacheView(cfg Config, exps []inject.Experiment) (*CacheView, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec, err := New(cfg).buildCache(exps, golden)
-	if err != nil {
-		return nil, err
-	}
-	return &CacheView{ec: ec}, nil
+	return New(cfg).buildCache(exps, golden)
+}
+
+func (v *CacheView) count(d CacheCounters) {
+	v.mu.Lock()
+	v.n.Add(d)
+	v.mu.Unlock()
 }
 
 // Adopt consults the store for the target group at addr, class by class,
-// and returns the rehydrated results for the adoptable subset of the given
-// pending experiment indices (indices already adopted from a journal are
-// simply not requested). The map may cover only some of pending — on a
-// rebuilt image the function-keyed local class hits while the whole-text
-// escape class misses — and is nil when nothing was adopted.
-func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int) map[int]inject.Result {
+// and calls adopt with the rehydrated result of every pending experiment
+// a valid entry covers (indices already adopted from a journal are simply
+// not requested), in class order and pending order within a class. It
+// returns the indices still pending, in their original order. A partial
+// adoption is normal on a rebuilt image: the function-keyed local class
+// hits while the whole-text-keyed escape class misses, and only the
+// latter's mutations re-execute.
+func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
+	adopt func(idx int, res inject.Result)) []int {
 	ct, ok := v.ec.targets[addr]
 	if !ok {
-		return nil
+		return pending
 	}
-	var out map[int]inject.Result
+	rem := pending
 	for _, ref := range ct.classes() {
-		pos := make(map[int]int, len(ref.lis))
+		pos := make(map[int]int, len(ref.lis)) // local index -> entry slot
 		for i, li := range ref.lis {
 			pos[li] = i
 		}
-		var mine []int
-		for _, idx := range pending {
+		var mine, rest []int
+		for _, idx := range rem {
 			if _, member := pos[localIndex(exps[idx])]; member {
 				mine = append(mine, idx)
+			} else {
+				rest = append(rest, idx)
 			}
 		}
 		if len(mine) == 0 {
@@ -605,22 +584,21 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int) 
 		}
 		ent, err := v.ec.load(ref, ct.count)
 		if err != nil {
+			miss := CacheCounters{CacheMisses: int64(len(mine))}
 			var ce *castore.CorruptError
 			if errors.As(err, &ce) || errors.Is(err, errEntryInvalid) {
-				v.invalid.Add(1)
+				miss.CacheInvalid = 1
 			}
-			v.misses.Add(int64(len(mine)))
+			v.count(miss)
 			continue
 		}
-		if out == nil {
-			out = make(map[int]inject.Result, len(pending))
-		}
+		v.count(CacheCounters{CacheHits: int64(len(mine))})
 		for _, idx := range mine {
-			out[idx] = ent.Results[pos[localIndex(exps[idx])]].ToResult(exps[idx])
+			adopt(idx, ent.Results[pos[localIndex(exps[idx])]].ToResult(exps[idx]))
 		}
-		v.hits.Add(int64(len(mine)))
+		rem = rest
 	}
-	return out
+	return rem
 }
 
 // StoreGroup persists the completed target group at addr (up to one entry
@@ -629,23 +607,28 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int) 
 // identical writes are verified no-ops; a same-key content mismatch fails
 // loudly.
 func (v *CacheView) StoreGroup(addr uint32, exps []inject.Experiment,
-	results []inject.Result, have []bool) (int, error) {
-	ct, ok := v.ec.targets[addr]
-	if !ok || !v.ec.write {
-		return 0, nil
-	}
-	for _, idx := range ct.byLi {
-		if !have[idx] {
-			return 0, nil
+	results []inject.Result, have []bool) error {
+	if ct, ok := v.ec.targets[addr]; ok {
+		for _, idx := range ct.byLi {
+			if !have[idx] {
+				return nil
+			}
 		}
 	}
-	wrote, err := v.ec.writeBack(addr, exps, results)
-	v.writes.Add(int64(wrote))
-	return wrote, err
+	return v.store(addr, exps, results)
 }
 
-// Counters reports the view's (hits, misses, writes, invalid) totals —
-// runs adopted, runs missed, entries written, entries rejected.
-func (v *CacheView) Counters() (hits, misses, writes, invalid int64) {
-	return v.hits.Load(), v.misses.Load(), v.writes.Load(), v.invalid.Load()
+// store persists the target group at addr, whose every result is in
+// results, and counts the entries that landed on disk.
+func (v *CacheView) store(addr uint32, exps []inject.Experiment, results []inject.Result) error {
+	wrote, err := v.ec.writeBack(addr, exps, results)
+	v.count(CacheCounters{CacheWrites: int64(wrote)})
+	return err
+}
+
+// Counters reports the view's counters.
+func (v *CacheView) Counters() CacheCounters {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.n
 }

@@ -33,19 +33,28 @@ func cachedConfig(app *target.App, sc target.Scenario, store *castore.Store, mod
 
 func runCached(t *testing.T, cfg campaign.Config) (*inject.Stats, campaign.Metrics) {
 	t.Helper()
+	stats, m, _ := runCachedProgress(t, cfg)
+	return stats, m
+}
+
+// runCachedProgress is runCached that also returns the engine's final
+// Progress.
+func runCachedProgress(t *testing.T, cfg campaign.Config) (*inject.Stats, campaign.Metrics, campaign.Progress) {
+	t.Helper()
 	eng := campaign.New(cfg)
 	stats, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, eng.Metrics()
+	return stats, eng.Metrics(), eng.Progress()
 }
 
 // TestCacheWarmRunIdentity is the cache's basic soundness gate: a cold
 // readwrite run populates the store, and a warm rerun of the identical
 // campaign adopts every run from it — with Stats (including per-run
 // Results and CrashLatencies order) byte-identical to the cold run, which
-// itself must be byte-identical to a cache-less run.
+// itself must be byte-identical to a cache-less run. The warm run executes
+// nothing, so its Progress reports no throughput and no ETA.
 func TestCacheWarmRunIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign differential is not short")
@@ -65,10 +74,14 @@ func TestCacheWarmRunIdentity(t *testing.T) {
 			cm.CacheHits, cm.CacheMisses, cm.CacheWrites)
 	}
 
-	warm, wm := runCached(t, cachedConfig(app, sc, store, campaign.CacheReadWrite))
+	warm, wm, wp := runCachedProgress(t, cachedConfig(app, sc, store, campaign.CacheReadWrite))
 	if !reflect.DeepEqual(cold, warm) {
 		t.Errorf("warm stats differ from cold\ncold: %+v\nwarm: %+v",
 			statsSummary(cold), statsSummary(warm))
+	}
+	if wp.Done != cold.Total || wp.RunsPerSec != 0 || wp.ETASeconds != 0 {
+		t.Errorf("fully warm run progress done=%d runsPerSec=%g eta=%gs, want %d/0/0: cache-adopted runs are not fresh",
+			wp.Done, wp.RunsPerSec, wp.ETASeconds, cold.Total)
 	}
 	if wm.CacheHits != int64(cold.Total) {
 		t.Errorf("warm run adopted %d of %d runs from cache", wm.CacheHits, cold.Total)

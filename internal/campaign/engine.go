@@ -162,21 +162,11 @@ type Engine struct {
 	snapshotRuns    atomic.Int64 // runs served by snapshot restore
 	synthesizedRuns atomic.Int64 // NA runs synthesized from an unreached prefix
 
-	icacheHits   atomic.Int64 // VM retirements served by the predecoded icache
-	icacheMisses atomic.Int64 // VM retirements that decoded on an icache miss
-
-	cacheHits    atomic.Int64 // runs adopted from the content-addressed store
-	cacheMisses  atomic.Int64 // runs executed because their group had no usable entry
-	cacheWrites  atomic.Int64 // entries persisted to the store
-	cacheInvalid atomic.Int64 // entries rejected as corrupt or inconsistent
-
-	traceHits        atomic.Int64 // fused-trace executions
-	traceExits       atomic.Int64 // fused traces that exited early
-	dirtyBytesCopied atomic.Int64 // bytes copied by O(dirty) restores
-	fullRestores     atomic.Int64 // full-image snapshot restores
-
-	convergedRuns     atomic.Int64 // runs stopped on rejoining the golden shadow
-	instructionsSaved atomic.Int64 // golden instructions those runs did not interpret
+	// mu guards work and cv, which Metrics and Progress read while the
+	// campaign runs.
+	mu   sync.Mutex
+	work Work       // harvested from machines and workers after each group
+	cv   *CacheView // nil with the cache off
 
 	workers    atomic.Int64
 	busyNanos  atomic.Int64
@@ -325,6 +315,7 @@ func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
 		m.SetBreakpoint(wave[i].addr)
 	}
 	e.prefixRuns.Add(1)
+	defer e.harvest(m, Work{})
 
 	snaps := make(map[uint32]*snapEntry, len(wave))
 	for len(snaps) < len(wave) {
@@ -343,26 +334,19 @@ func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
 		}
 		m.ClearBreakpoint(bp.Addr)
 	}
-	e.harvestCounters(m)
 	return snaps, nil
 }
 
-// harvestCounters folds a machine's icache, trace, and restore counters
-// into the engine's metrics and zeroes them, so pooled machines are not
-// double-counted.
-func (e *Engine) harvestCounters(m *vm.Machine) {
-	if m == nil {
-		return
+// harvest adds w and machine m's VM counters to the engine's Work and
+// zeroes m's, so pooled machines are not double-counted.
+func (e *Engine) harvest(m *vm.Machine, w Work) {
+	if m != nil {
+		w.addVM(&m.Counters)
+		m.Counters = vm.Counters{}
 	}
-	e.icacheHits.Add(int64(m.ICacheHits))
-	e.icacheMisses.Add(int64(m.ICacheMisses))
-	e.traceHits.Add(int64(m.TraceHits))
-	e.traceExits.Add(int64(m.TraceExits))
-	e.dirtyBytesCopied.Add(int64(m.DirtyBytesCopied))
-	e.fullRestores.Add(int64(m.FullRestores))
-	m.ICacheHits, m.ICacheMisses = 0, 0
-	m.TraceHits, m.TraceExits = 0, 0
-	m.DirtyBytesCopied, m.FullRestores = 0, 0
+	e.mu.Lock()
+	e.work.Add(w)
+	e.mu.Unlock()
 }
 
 // run is the engine core: shard by target, sweep-capture snapshots in
@@ -441,16 +425,19 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 	// the normal path — journaled, streamed, counted — so a warm campaign
 	// is indistinguishable downstream from a cold one; the remaining groups
 	// are the delta that actually executes.
-	var ec *engineCache
+	var cv *CacheView
 	if e.cfg.cacheActive() {
-		ec, err = e.buildCache(exps, golden)
+		cv, err = e.buildCache(exps, golden)
 		if err != nil {
 			fail(err)
 		} else {
+			e.mu.Lock()
+			e.cv = cv
+			e.mu.Unlock()
 			pending := groups[:0]
 			for i := range groups {
 				if runCtx.Err() == nil {
-					if rem := e.adoptGroup(ec, &groups[i], exps, finish); len(rem) == 0 {
+					if rem := cv.Adopt(groups[i].addr, exps, groups[i].indices, finish); len(rem) == 0 {
 						e.groupsDone.Add(1)
 						continue
 					} else {
@@ -518,17 +505,16 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 				defer func() { pool <- wm }()
 				for gi := range gch {
 					begin := time.Now()
+					var work Work
 					wm = e.runGroup(runCtx, wm, &wave[gi], exps, golden, naRun,
-						snaps[wave[gi].addr], sh, finish, fail)
+						snaps[wave[gi].addr], sh, &work, finish, fail)
 					e.busyNanos.Add(time.Since(begin).Nanoseconds())
-					e.harvestCounters(wm)
+					e.harvest(wm, work)
 					if runCtx.Err() == nil {
 						e.groupsDone.Add(1)
-						if ec != nil {
-							if wrote, werr := ec.writeBack(wave[gi].addr, exps, results); werr != nil {
+						if cv != nil {
+							if werr := cv.store(wave[gi].addr, exps, results); werr != nil {
 								fail(fmt.Errorf("campaign: cache write-back at %#x: %w", wave[gi].addr, werr))
-							} else {
-								e.cacheWrites.Add(int64(wrote))
 							}
 						}
 					}
@@ -573,10 +559,11 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 
 // runGroup executes every pending experiment of one target-address shard
 // against the target's prefix snapshot (nil = never activated). It returns
-// the (possibly newly allocated) reusable worker machine.
+// the (possibly newly allocated) reusable worker machine, and counts the
+// group's converged runs in w.
 func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	exps []inject.Experiment, golden *classify.Golden, naRun *classify.Run,
-	snap *snapEntry, sh *shadow, finish func(int, inject.Result), fail func(error)) *vm.Machine {
+	snap *snapEntry, sh *shadow, w *Work, finish func(int, inject.Result), fail func(error)) *vm.Machine {
 
 	if snap == nil {
 		// The target instruction never executes under this scenario. A
@@ -625,8 +612,8 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		}
 		e.snapshotRuns.Add(1)
 		if converging && chk.at != 0 {
-			e.convergedRuns.Add(1)
-			e.instructionsSaved.Add(int64(golden.Steps - chk.at))
+			w.ConvergedRuns++
+			w.InstructionsSaved += int64(golden.Steps - chk.at)
 			res := inject.ResultFromRun(golden, ex, goldenEnd, shouldGrant, goldenWindow)
 			if onConverged != nil {
 				onConverged(idx, res, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
@@ -659,7 +646,8 @@ type Progress struct {
 	Counts map[string]int `json:"counts"`
 	// ElapsedSeconds is wall time since the campaign started.
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	// RunsPerSec is fresh-run throughput (journal-adopted runs excluded).
+	// RunsPerSec is fresh-run throughput (journal- and cache-adopted runs
+	// excluded).
 	RunsPerSec float64 `json:"runsPerSec"`
 	// ETASeconds estimates time to completion at the current throughput;
 	// 0 when done or unknown.
@@ -674,7 +662,7 @@ func (e *Engine) Progress() Progress {
 		Counts: e.countsMap(),
 	}
 	p.ElapsedSeconds = e.elapsed().Seconds()
-	fresh := p.Done - int(e.preloaded.Load())
+	fresh := p.Done - int(e.preloaded.Load()) - int(e.cacheCounters().CacheHits)
 	if p.ElapsedSeconds > 0 && fresh > 0 {
 		p.RunsPerSec = float64(fresh) / p.ElapsedSeconds
 		if remaining := p.Total - p.Done; remaining > 0 {
@@ -682,6 +670,57 @@ func (e *Engine) Progress() Progress {
 		}
 	}
 	return p
+}
+
+// Work is the work-counter record every layer passes along and adds to:
+// an engine sums it over its machines and runs, a fleet coordinator over
+// its settled shards, campaignd over its campaigns. The six VM counters
+// are the vm.Counters of the machines that did the work.
+type Work struct {
+	// ICacheHits and ICacheMisses count VM instruction retirements served
+	// from versus decoded into the predecoded instruction cache, summed
+	// over golden sweeps and snapshot-restored runs.
+	ICacheHits   int64 `json:"icacheHits"`
+	ICacheMisses int64 `json:"icacheMisses"`
+	// TraceHits counts fused superblock trace executions; TraceExits
+	// counts the subset that left the trace early (fault, fuel, or an
+	// invalidating store mid-trace). Both are 0 with Config.NoTraces.
+	TraceHits  int64 `json:"traceHits"`
+	TraceExits int64 `json:"traceExits"`
+	// DirtyBytesCopied is the bytes copied back by O(dirty) snapshot
+	// restores; FullRestores counts restores that copied whole images
+	// (first restore per machine/snapshot pair, or all restores with
+	// Config.NoDirtyTracking).
+	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
+	FullRestores     int64 `json:"fullRestores"`
+	// ConvergedRuns counts runs stopped at a syscall entry where their
+	// whole state equalled the fault-free session's, apart from poked
+	// bytes the session never retires or reads again, and
+	// InstructionsSaved the golden instructions those runs therefore did
+	// not interpret (golden steps minus each convergence step).
+	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
+	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
+}
+
+// Add adds o to w.
+func (w *Work) Add(o Work) {
+	w.ICacheHits += o.ICacheHits
+	w.ICacheMisses += o.ICacheMisses
+	w.TraceHits += o.TraceHits
+	w.TraceExits += o.TraceExits
+	w.DirtyBytesCopied += o.DirtyBytesCopied
+	w.FullRestores += o.FullRestores
+	w.ConvergedRuns += o.ConvergedRuns
+	w.InstructionsSaved += o.InstructionsSaved
+}
+
+// addVM adds a machine's counters to w.
+func (w *Work) addVM(c *vm.Counters) {
+	w.Add(Work{
+		ICacheHits: int64(c.ICacheHits), ICacheMisses: int64(c.ICacheMisses),
+		TraceHits: int64(c.TraceHits), TraceExits: int64(c.TraceExits),
+		DirtyBytesCopied: int64(c.DirtyBytesCopied), FullRestores: int64(c.FullRestores),
+	})
 }
 
 // Metrics is the engine's operational counter set.
@@ -701,51 +740,25 @@ type Metrics struct {
 	NaiveRuns int64 `json:"naiveRuns"`
 	// JournalAdopted is the number of results adopted from a journal.
 	JournalAdopted int64 `json:"journalAdopted"`
-	// CacheHits is the number of runs adopted from the content-addressed
-	// result store; CacheMisses the number of runs executed because their
-	// target group had no usable entry (both 0 with the cache off).
-	CacheHits   int64 `json:"cacheHits,omitempty"`
-	CacheMisses int64 `json:"cacheMisses,omitempty"`
-	// CacheWrites counts entries persisted to the store; CacheInvalid
-	// counts entries rejected as corrupt or internally inconsistent
-	// (each rejection also surfaces as misses for the group's runs).
-	CacheWrites  int64 `json:"cacheWrites,omitempty"`
-	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
+	// CacheCounters are the result cache's counters (all 0 with the cache
+	// off).
+	CacheCounters
 	// GroupsTotal and GroupsDone count the engine's target-address groups
 	// (its internal shards): scheduled for this campaign, and fully
 	// executed so far — the per-shard progress signal surfaced by fleet
 	// workers and GET /metrics.
 	GroupsTotal int64 `json:"groupsTotal"`
 	GroupsDone  int64 `json:"groupsDone"`
-	// SnapshotHitRate is the share of fresh runs that did not re-execute
-	// the golden prefix (snapshot restores plus synthesized NAs).
+	// SnapshotHitRate is 1 once a fresh run completed, else 0: every
+	// fresh run is a snapshot restore or a synthesized NA, so none
+	// re-executes the golden prefix. The key stays for /metrics wire
+	// compatibility.
 	SnapshotHitRate float64 `json:"snapshotHitRate"`
-	// ICacheHits and ICacheMisses count VM instruction retirements served
-	// from versus decoded into the predecoded instruction cache, summed
-	// over the engine's golden sweeps and snapshot-restored runs.
-	ICacheHits   int64 `json:"icacheHits"`
-	ICacheMisses int64 `json:"icacheMisses"`
+	// Work holds the VM and golden-convergence counters.
+	Work
 	// ICacheHitRate is ICacheHits / (ICacheHits + ICacheMisses); 0 when
 	// the cache is disabled (Config.NoICache) or nothing has retired yet.
 	ICacheHitRate float64 `json:"icacheHitRate"`
-	// TraceHits counts fused superblock trace executions; TraceExits
-	// counts the subset that left the trace early (fault, fuel, or an
-	// invalidating store mid-trace). Both are 0 with Config.NoTraces.
-	TraceHits  int64 `json:"traceHits"`
-	TraceExits int64 `json:"traceExits"`
-	// DirtyBytesCopied is the bytes copied back by O(dirty) snapshot
-	// restores; FullRestores counts restores that copied whole images
-	// (first restore per machine/snapshot pair, or all restores with
-	// Config.NoDirtyTracking).
-	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
-	FullRestores     int64 `json:"fullRestores"`
-	// ConvergedRuns counts runs stopped at a syscall entry where their
-	// whole state equalled the fault-free session's, apart from poked
-	// bytes the session never retires or reads again, and
-	// InstructionsSaved the golden instructions those runs therefore did
-	// not interpret (golden steps minus each convergence step).
-	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
-	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 	// RunsPerSec is fresh-run throughput over the campaign wall time.
 	RunsPerSec float64 `json:"runsPerSec"`
 	// Workers is the worker pool size.
@@ -758,30 +771,21 @@ type Metrics struct {
 // Metrics reports operational counters. Safe to call concurrently with Run.
 func (e *Engine) Metrics() Metrics {
 	m := Metrics{
-		SnapshotRuns:     e.snapshotRuns.Load(),
-		SynthesizedNA:    e.synthesizedRuns.Load(),
-		PrefixRuns:       e.prefixRuns.Load(),
-		JournalAdopted:   e.preloaded.Load(),
-		CacheHits:        e.cacheHits.Load(),
-		CacheMisses:      e.cacheMisses.Load(),
-		CacheWrites:      e.cacheWrites.Load(),
-		CacheInvalid:     e.cacheInvalid.Load(),
-		GroupsTotal:      e.groupsTotal.Load(),
-		GroupsDone:       e.groupsDone.Load(),
-		Workers:          int(e.workers.Load()),
-		ICacheHits:       e.icacheHits.Load(),
-		ICacheMisses:     e.icacheMisses.Load(),
-		TraceHits:        e.traceHits.Load(),
-		TraceExits:       e.traceExits.Load(),
-		DirtyBytesCopied: e.dirtyBytesCopied.Load(),
-		FullRestores:     e.fullRestores.Load(),
-
-		ConvergedRuns:     e.convergedRuns.Load(),
-		InstructionsSaved: e.instructionsSaved.Load(),
+		SnapshotRuns:   e.snapshotRuns.Load(),
+		SynthesizedNA:  e.synthesizedRuns.Load(),
+		PrefixRuns:     e.prefixRuns.Load(),
+		JournalAdopted: e.preloaded.Load(),
+		CacheCounters:  e.cacheCounters(),
+		GroupsTotal:    e.groupsTotal.Load(),
+		GroupsDone:     e.groupsDone.Load(),
+		Workers:        int(e.workers.Load()),
 	}
+	e.mu.Lock()
+	m.Work = e.work
+	e.mu.Unlock()
 	m.RunsTotal = m.SnapshotRuns + m.SynthesizedNA
 	if m.RunsTotal > 0 {
-		m.SnapshotHitRate = float64(m.SnapshotRuns+m.SynthesizedNA) / float64(m.RunsTotal)
+		m.SnapshotHitRate = 1
 	}
 	if fetches := m.ICacheHits + m.ICacheMisses; fetches > 0 {
 		m.ICacheHitRate = float64(m.ICacheHits) / float64(fetches)
@@ -794,6 +798,18 @@ func (e *Engine) Metrics() Metrics {
 		}
 	}
 	return m
+}
+
+// cacheCounters reports the result cache's counters; zero with the cache
+// off.
+func (e *Engine) cacheCounters() CacheCounters {
+	e.mu.Lock()
+	cv := e.cv
+	e.mu.Unlock()
+	if cv == nil {
+		return CacheCounters{}
+	}
+	return cv.Counters()
 }
 
 func (e *Engine) elapsed() time.Duration {

@@ -60,24 +60,24 @@ func (w *HTTPWorker) Healthy(ctx context.Context) error {
 // a truncated stream (worker crash), an error line (engine failure), a
 // non-200 status, or a transport error all fail the attempt for the
 // coordinator to retry.
-func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (ShardWork, error) {
+func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (campaign.Work, error) {
 	body, err := json.Marshal(&spec)
 	if err != nil {
-		return ShardWork{}, err
+		return campaign.Work{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+PathShards, bytes.NewReader(body))
 	if err != nil {
-		return ShardWork{}, err
+		return campaign.Work{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		return ShardWork{}, fmt.Errorf("fleet: %s: %w", w.base, err)
+		return campaign.Work{}, fmt.Errorf("fleet: %s: %w", w.base, err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // stream
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return ShardWork{}, fmt.Errorf("fleet: %s shard %d: status %d: %s",
+		return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: status %d: %s",
 			w.base, spec.Shard, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 
@@ -87,30 +87,33 @@ func (w *HTTPWorker) RunShard(ctx context.Context, spec ShardSpec, emit func(int
 	for sc.Scan() {
 		var line shardLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: corrupt stream line: %w", w.base, spec.Shard, err)
+			return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: corrupt stream line: %w", w.base, spec.Shard, err)
 		}
 		switch {
 		case line.Error != "":
-			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: worker error: %s", w.base, spec.Shard, line.Error)
+			return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: worker error: %s", w.base, spec.Shard, line.Error)
 		case line.Done:
 			if line.Runs != runs {
-				return ShardWork{}, fmt.Errorf("fleet: %s shard %d: done-line counts %d runs, saw %d",
+				return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: done-line counts %d runs, saw %d",
 					w.base, spec.Shard, line.Runs, runs)
 			}
-			return line.ShardWork, nil
+			if line.Work == nil {
+				return campaign.Work{}, nil
+			}
+			return *line.Work, nil
 		case line.Result != nil:
 			runs++
 			emit(line.Idx, line.Result)
 		default:
-			return ShardWork{}, fmt.Errorf("fleet: %s shard %d: unrecognized stream line %q",
+			return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: unrecognized stream line %q",
 				w.base, spec.Shard, sc.Text())
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return ShardWork{}, fmt.Errorf("fleet: %s shard %d: stream: %w", w.base, spec.Shard, err)
+		return campaign.Work{}, fmt.Errorf("fleet: %s shard %d: stream: %w", w.base, spec.Shard, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return ShardWork{}, err
+		return campaign.Work{}, err
 	}
-	return ShardWork{}, errors.New("fleet: " + w.base + ": stream truncated before done-line (worker died mid-shard?)")
+	return campaign.Work{}, errors.New("fleet: " + w.base + ": stream truncated before done-line (worker died mid-shard?)")
 }

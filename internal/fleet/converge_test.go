@@ -18,7 +18,8 @@ import (
 // in-process engine's golden-convergence totals, summed from settled
 // shards only — over loopback workers, over HTTP done-lines, and when a
 // worker's first stream is cut before its done-line and the shard is
-// retried.
+// retried. Every shard engine runs one worker, so its VM counters are
+// deterministic too: all three cases report the same nonzero Work.
 func TestFleetConvergenceCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign differential is not short")
@@ -44,6 +45,7 @@ func TestFleetConvergenceCounters(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return fleet.NewHTTPWorker(srv.URL, srv.Client())
 	}
+	var first *campaign.Work
 	for _, c := range []struct {
 		name    string
 		workers func(t *testing.T) []fleet.Worker
@@ -65,6 +67,7 @@ func TestFleetConvergenceCounters(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fleetConfig(app, sc, c.workers(t)...)
 			cfg.RetryBase = time.Millisecond
+			cfg.Campaign.Parallelism = 1
 			co := fleet.New(cfg)
 			if _, err := co.Run(context.Background()); err != nil {
 				t.Fatal(err)
@@ -76,6 +79,14 @@ func TestFleetConvergenceCounters(t *testing.T) {
 			if m.ConvergedRuns != want.ConvergedRuns || m.InstructionsSaved != want.InstructionsSaved {
 				t.Errorf("fleet converged %d runs saving %d instructions, engine %d and %d",
 					m.ConvergedRuns, m.InstructionsSaved, want.ConvergedRuns, want.InstructionsSaved)
+			}
+			if m.ICacheHits == 0 || m.TraceHits == 0 || m.DirtyBytesCopied == 0 || m.FullRestores == 0 {
+				t.Errorf("fleet VM counters did not cross the worker boundary: %+v", m.Work)
+			}
+			if first == nil {
+				first = &m.Work
+			} else if m.Work != *first {
+				t.Errorf("fleet work %+v, want the first case's %+v", m.Work, *first)
 			}
 		})
 	}

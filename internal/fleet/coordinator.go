@@ -32,6 +32,7 @@ type Coordinator struct {
 	have      []bool
 	jr        *campaign.Journal
 	cv        *campaign.CacheView
+	work      campaign.Work // summed from settled attempts only
 	failErr   error
 	cancelRun context.CancelFunc
 
@@ -44,11 +45,8 @@ type Coordinator struct {
 	retries      atomic.Int64
 	speculative  atomic.Int64
 	duplicates   atomic.Int64
-	// converged and saved sum the work counters of settled shards only.
-	converged  atomic.Int64
-	saved      atomic.Int64
-	startNanos atomic.Int64
-	endNanos   atomic.Int64
+	startNanos   atomic.Int64
+	endNanos     atomic.Int64
 }
 
 // workerState is the coordinator's view of one worker.
@@ -178,14 +176,10 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 			if len(pending) == 0 {
 				continue
 			}
-			res := cv.Adopt(g.addr, exps, pending)
-			if len(res) == 0 {
-				continue
-			}
-			for _, idx := range pending {
-				r, hit := res[idx]
-				if !hit {
-					continue // class miss: stays pending, planned into a shard
+			// A class miss stays pending and is planned into a shard.
+			cv.Adopt(g.addr, exps, pending, func(idx int, r inject.Result) {
+				if c.failErr != nil {
+					return
 				}
 				c.results[idx] = r
 				c.have[idx] = true
@@ -195,11 +189,11 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 				if jr != nil {
 					if err := jr.Append(idx, r, d, c.countsMap()); err != nil {
 						c.failLocked(fmt.Errorf("fleet: journal append: %w", err))
-						break
+						return
 					}
 				}
 				cacheRuns = append(cacheRuns, adoptedRun{idx: idx, res: r, d: d})
-			}
+			})
 			if c.failErr != nil {
 				break
 			}
@@ -493,7 +487,7 @@ func (c *Coordinator) deliver(sh *shardState, ws *workerState, idx int, wr *camp
 // does; failure re-leases it with capped exponential backoff until
 // MaxAttempts, unless another attempt already finished the shard or the
 // campaign is shutting down.
-func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerState, work ShardWork, err error) {
+func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerState, work campaign.Work, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sh.runners--
@@ -511,8 +505,7 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 			sh.done = true
 			c.shardsOut++
 			ws.shardsDone.Add(1)
-			c.converged.Add(work.ConvergedRuns)
-			c.saved.Add(work.InstructionsSaved)
+			c.work.Add(work)
 			// Persist the shard's freshly executed target groups; a group
 			// whose entry already exists (an adopted hit, or a concurrent
 			// writer) is a verified no-op inside StoreGroup.
@@ -544,7 +537,7 @@ func (c *Coordinator) storeShardGroupsLocked(sh *shardState) {
 		return
 	}
 	for _, g := range addrGroups(c.exps, sh.start, sh.end) {
-		if _, err := c.cv.StoreGroup(g.addr, c.exps, c.results, c.have); err != nil {
+		if err := c.cv.StoreGroup(g.addr, c.exps, c.results, c.have); err != nil {
 			c.failLocked(fmt.Errorf("fleet: cache write-back at %#x: %w", g.addr, err))
 			return
 		}

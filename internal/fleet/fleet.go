@@ -56,19 +56,11 @@ type Worker interface {
 	// whole shard completed, together with the work the attempt did; a
 	// partial stream (crash, timeout, cancellation) returns an error and
 	// the coordinator re-leases the shard.
-	RunShard(ctx context.Context, spec ShardSpec, emit func(idx int, res *campaign.WireResult)) (ShardWork, error)
+	RunShard(ctx context.Context, spec ShardSpec, emit func(idx int, res *campaign.WireResult)) (campaign.Work, error)
 	// Healthy probes liveness; the coordinator stops leasing to (and
 	// cancels the in-flight attempt of) a worker that fails twice in a
 	// row, until it recovers.
 	Healthy(ctx context.Context) error
-}
-
-// ShardWork is what a completed shard attempt reports beside its results:
-// the golden-convergence counters of the engine that ran it. It rides on
-// the shard stream's done-line; both fields are omitted while zero.
-type ShardWork struct {
-	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
-	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 }
 
 // ShardSpec is the wire form of one shard lease: the campaign identity

@@ -231,10 +231,10 @@ type stuckWorker struct{ leased atomic.Int64 }
 
 func (s *stuckWorker) Name() string                  { return "stuck" }
 func (s *stuckWorker) Healthy(context.Context) error { return nil }
-func (s *stuckWorker) RunShard(ctx context.Context, spec fleet.ShardSpec, emit func(int, *campaign.WireResult)) (fleet.ShardWork, error) {
+func (s *stuckWorker) RunShard(ctx context.Context, spec fleet.ShardSpec, emit func(int, *campaign.WireResult)) (campaign.Work, error) {
 	s.leased.Add(1)
 	<-ctx.Done()
-	return fleet.ShardWork{}, ctx.Err()
+	return campaign.Work{}, ctx.Err()
 }
 
 func TestFleetSpeculatesOnStraggler(t *testing.T) {

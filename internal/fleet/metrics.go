@@ -1,8 +1,10 @@
 package fleet
 
+import "faultsec/internal/campaign"
+
 // Metrics is a point-in-time snapshot of a fleet campaign's internals:
 // shard lease states, retry/speculation counters, and per-worker tallies.
-// campaignd folds it into GET /campaigns/{id}/metrics.
+// campaignd folds it into GET /metrics.
 type Metrics struct {
 	ShardsTotal         int   `json:"shardsTotal"`
 	ShardsDone          int   `json:"shardsDone"`
@@ -10,20 +12,15 @@ type Metrics struct {
 	SpeculativeAttempts int64 `json:"speculativeAttempts"`
 	DuplicateRuns       int64 `json:"duplicateRuns"`
 	JournalAdopted      int64 `json:"journalAdopted"`
-	// CacheHits counts runs the coordinator adopted from the
-	// content-addressed result store before leasing; CacheMisses counts
-	// runs leased because their target group had no usable entry.
-	// CacheWrites counts entries persisted on shard settlement and
-	// CacheInvalid entries rejected as corrupt or inconsistent.
-	CacheHits    int64 `json:"cacheHits,omitempty"`
-	CacheMisses  int64 `json:"cacheMisses,omitempty"`
-	CacheWrites  int64 `json:"cacheWrites,omitempty"`
-	CacheInvalid int64 `json:"cacheInvalid,omitempty"`
-	// ConvergedRuns and InstructionsSaved sum the golden-convergence
-	// counters of settled shards (see campaign.Metrics); retried and
-	// speculative duplicate attempts are not counted.
-	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
-	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
+	// CacheCounters are the coordinator's own result-cache counters: runs
+	// adopted from the store before leasing, runs leased because their
+	// target group had no usable entry, entries persisted on shard
+	// settlement, and entries rejected as corrupt or inconsistent.
+	campaign.CacheCounters
+	// Work sums the work counters of settled shards, as their workers'
+	// engines reported them; retried and speculative duplicate attempts
+	// are not counted.
+	campaign.Work
 	// RunsTotal counts fresh (non-adopted) runs delivered and accepted.
 	RunsTotal  int64   `json:"runsTotal"`
 	RunsPerSec float64 `json:"runsPerSec"`
@@ -66,8 +63,6 @@ func (c *Coordinator) Metrics() Metrics {
 		DuplicateRuns:       c.duplicates.Load(),
 		JournalAdopted:      c.adopted.Load(),
 		RunsTotal:           c.freshRuns.Load(),
-		ConvergedRuns:       c.converged.Load(),
-		InstructionsSaved:   c.saved.Load(),
 		WorkersTotal:        len(c.workers),
 	}
 	if sec := c.elapsed().Seconds(); sec > 0 {
@@ -88,8 +83,9 @@ func (c *Coordinator) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cv != nil {
-		m.CacheHits, m.CacheMisses, m.CacheWrites, m.CacheInvalid = c.cv.Counters()
+		m.CacheCounters = c.cv.Counters()
 	}
+	m.Work = c.work
 	m.ShardsTotal = len(c.shards)
 	m.ShardsDone = c.shardsOut
 	for _, sh := range c.shards {

@@ -21,16 +21,17 @@ const maxSpecBytes = 8 << 20
 
 // shardLine is one NDJSON line of a shard response stream: a result line
 // (Result set), the terminating success line (Done set, Runs the number
-// of result lines streamed, ShardWork the attempt's work counters), or a
-// terminal error line. A stream that ends
-// without a Done or Error line was truncated — the worker died mid-shard
-// — and the client reports an error so the coordinator re-leases.
+// of result lines streamed, Work the attempt's work counters, flattened
+// into the line), or a terminal error line. A stream that ends without a
+// Done or Error line was truncated — the worker died mid-shard — and the
+// client reports an error so the coordinator re-leases.
 type shardLine struct {
 	Idx    int                  `json:"idx,omitempty"`
 	Result *campaign.WireResult `json:"result,omitempty"`
 	Done   bool                 `json:"done,omitempty"`
 	Runs   int                  `json:"runs,omitempty"`
-	ShardWork
+	// Work is nil, and its keys absent, on every line but the done-line.
+	*campaign.Work
 	Error string `json:"error,omitempty"`
 }
 
@@ -57,7 +58,7 @@ func mapResolver(apps map[string]*target.App) AppResolver {
 // out of range) surface here, before any result is produced, so the HTTP
 // handler can still answer 400.
 func prepareShard(resolve AppResolver, spec *ShardSpec,
-	cache *castore.Store) (func(ctx context.Context, emit emitFunc) (ShardWork, error), error) {
+	cache *castore.Store) (func(ctx context.Context, emit emitFunc) (campaign.Work, error), error) {
 	app, err := resolve(spec.App)
 	if err != nil {
 		return nil, err
@@ -105,13 +106,12 @@ func prepareShard(resolve AppResolver, spec *ShardSpec,
 		shard[i] = exps[idx]
 		globals[i] = idx
 	}
-	return func(ctx context.Context, emit emitFunc) (ShardWork, error) {
+	return func(ctx context.Context, emit emitFunc) (campaign.Work, error) {
 		eng := campaign.New(cfg)
 		if err := eng.RunShard(ctx, shard, globals, resultEmit(emit)); err != nil {
-			return ShardWork{}, err
+			return campaign.Work{}, err
 		}
-		m := eng.Metrics()
-		return ShardWork{ConvergedRuns: m.ConvergedRuns, InstructionsSaved: m.InstructionsSaved}, nil
+		return eng.Metrics().Work, nil
 	}, nil
 }
 
@@ -223,7 +223,7 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeLine(&shardLine{Error: err.Error()})
 		return
 	}
-	writeLine(&shardLine{Done: true, Runs: runs, ShardWork: work})
+	writeLine(&shardLine{Done: true, Runs: runs, Work: &work})
 }
 
 // Loopback is the in-process worker: shard execution without HTTP, used
@@ -264,10 +264,10 @@ func (l *Loopback) Name() string { return l.name }
 func (l *Loopback) Healthy(context.Context) error { return nil }
 
 // RunShard executes the shard on an in-process engine.
-func (l *Loopback) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (ShardWork, error) {
+func (l *Loopback) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (campaign.Work, error) {
 	run, err := prepareShard(l.resolve, &spec, l.cache)
 	if err != nil {
-		return ShardWork{}, err
+		return campaign.Work{}, err
 	}
 	return run(ctx, emit)
 }

@@ -40,6 +40,28 @@ type Tuning struct {
 	NoTraces bool `json:"noTraces,omitempty"`
 }
 
+// Counters counts a machine's fast-path work. It is measurement state,
+// not architectural state: Restore leaves it alone, so it accumulates
+// across snapshot-restored runs until its owner harvests and zeroes it.
+type Counters struct {
+	// ICacheHits and ICacheMisses count retirements served from the
+	// predecoded instruction cache versus decoded on a miss.
+	ICacheHits   uint64
+	ICacheMisses uint64
+
+	// TraceHits counts fused-trace executions started by Step; TraceExits
+	// counts the ones that ended early (a fault, exit or kernel error
+	// mid-trace, or a self-modifying write aborting the remainder).
+	TraceHits  uint64
+	TraceExits uint64
+
+	// DirtyBytesCopied accumulates bytes copied back by O(dirty) restores;
+	// FullRestores counts restores that fell back to (or started from) a
+	// full-image copy.
+	DirtyBytesCopied uint64
+	FullRestores     uint64
+}
+
 // Machine is one user-mode x86 hardware thread plus its address space.
 type Machine struct {
 	Regs  [x86.NumRegs]uint32
@@ -77,25 +99,9 @@ type Machine struct {
 	// compare per restore.
 	ParanoidRestore bool
 
-	// ICacheHits and ICacheMisses count retirements served from the
-	// predecoded instruction cache versus decoded on a miss. They are
-	// measurement state, not architectural state: Restore leaves them
-	// alone, so they accumulate across snapshot-restored runs.
-	ICacheHits   uint64
-	ICacheMisses uint64
-
-	// TraceHits counts fused-trace executions started by Step; TraceExits
-	// counts the ones that ended early (a fault, exit or kernel error
-	// mid-trace, or a self-modifying write aborting the remainder).
-	// Measurement state, like the icache counters.
-	TraceHits  uint64
-	TraceExits uint64
-
-	// DirtyBytesCopied accumulates bytes copied back by O(dirty) restores;
-	// FullRestores counts restores that fell back to (or started from) a
-	// full-image copy. Measurement state, like the icache counters.
-	DirtyBytesCopied uint64
-	FullRestores     uint64
+	// Counters is the machine's work-counter record; measurement state,
+	// not architectural state.
+	Counters
 
 	// lastSnap remembers which snapshot the machine was last restored
 	// from. The O(dirty) restore is only sound when rewinding to that very
