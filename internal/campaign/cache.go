@@ -3,8 +3,8 @@ package campaign
 // This file is the FastFlip seam (arXiv 2403.13989): a content-addressed
 // cache of per-target-group injection results, so a resubmitted campaign
 // over a rebuilt image re-executes only the groups whose keyed context
-// changed and adopts everything else from the store — merged through the
-// same finish/Stats path as fresh runs, byte-identical to a cold run.
+// changed and adopts everything else from the store — recorded through the
+// same Ledger as fresh runs, byte-identical to a cold run.
 //
 // The unit of caching is the engine's own shard: one target instruction's
 // full local mutation range under one fault model. The key digests the
@@ -438,22 +438,11 @@ func (ec *engineCache) load(ref *classRef, count int) (*cacheEntry, error) {
 }
 
 // writeBack persists one completed group's classes (up to two entries).
-// results is the campaign-wide result slice; the group's slots were filled
-// by this worker's finish calls (and journal or cache adoption before
-// workers started), so the read is race-free even when only part of the
-// group re-executed. Returns how many new entries landed on disk —
-// duplicate writes of identical content are verified no-ops, and a
-// content mismatch under the same key fails loudly (it would mean the
-// key missed an input the outcome depends on).
-func (ec *engineCache) writeBack(addr uint32, exps []inject.Experiment,
-	results []inject.Result) (int, error) {
-	if !ec.write {
-		return 0, nil
-	}
-	ct, ok := ec.targets[addr]
-	if !ok {
-		return 0, nil
-	}
+// results holds the group's results by local mutation index. Returns how
+// many new entries landed on disk — duplicate writes of identical content
+// are verified no-ops, and a content mismatch under the same key fails
+// loudly (it would mean the key missed an input the outcome depends on).
+func (ec *engineCache) writeBack(addr uint32, ct *cacheTarget, results []inject.Result) (int, error) {
 	var fnName string
 	if fn, ok := funcContaining(ec.img, addr); ok {
 		fnName = fn.Name
@@ -475,7 +464,7 @@ func (ec *engineCache) writeBack(addr uint32, exps []inject.Experiment,
 			Counts:   make(map[string]int, 4),
 		}
 		for i, li := range ref.lis {
-			r := results[ct.byLi[li]]
+			r := results[li]
 			ent.Results[i] = Wire(r)
 			ent.Counts[r.Outcome.String()]++
 		}
@@ -517,11 +506,10 @@ func (c *CacheCounters) Add(o CacheCounters) {
 
 // CacheView is one campaign's handle on the result cache: the key
 // derivation and entry validation per target group, with the counters of
-// every adoption and write-back made through it. The engine adopts
-// through it before scheduling any group and writes back as groups
-// complete; a fleet coordinator adopts before leasing any shard and
-// writes back when shards settle. Its methods are safe for concurrent
-// use.
+// every adoption and write-back made through it. A campaign's Ledger
+// adopts through it before any group is scheduled or shard leased; the
+// engine writes back as groups complete, a fleet coordinator when shards
+// settle. Its methods are safe for concurrent use.
 type CacheView struct {
 	ec *engineCache
 
@@ -603,31 +591,28 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
 
 // StoreGroup persists the completed target group at addr (up to one entry
 // per class) when the view is in readwrite mode, the group is cacheable,
-// and every index of its full local range has a result (have). Duplicate
-// identical writes are verified no-ops; a same-key content mismatch fails
-// loudly.
-func (v *CacheView) StoreGroup(addr uint32, exps []inject.Experiment,
-	results []inject.Result, have []bool) error {
-	if ct, ok := v.ec.targets[addr]; ok {
-		for _, idx := range ct.byLi {
-			if !have[idx] {
-				return nil
-			}
-		}
+// and l has a result for every index of its full local range, and counts
+// the entries that landed on disk. Duplicate identical writes are verified
+// no-ops; a same-key content mismatch fails loudly.
+func (v *CacheView) StoreGroup(addr uint32, l *Ledger) error {
+	ct, ok := v.ec.targets[addr]
+	if !ok || !v.ec.write {
+		return nil
 	}
-	return v.store(addr, exps, results)
-}
-
-// store persists the target group at addr, whose every result is in
-// results, and counts the entries that landed on disk.
-func (v *CacheView) store(addr uint32, exps []inject.Experiment, results []inject.Result) error {
-	wrote, err := v.ec.writeBack(addr, exps, results)
+	results, complete := l.recorded(ct.byLi)
+	if !complete {
+		return nil
+	}
+	wrote, err := v.ec.writeBack(addr, ct, results)
 	v.count(CacheCounters{CacheWrites: int64(wrote)})
 	return err
 }
 
-// Counters reports the view's counters.
+// Counters reports the view's counters; zero on a nil view (cache off).
 func (v *CacheView) Counters() CacheCounters {
+	if v == nil {
+		return CacheCounters{}
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.n

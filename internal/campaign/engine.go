@@ -31,10 +31,11 @@
 //     reads again; the rest of its outcome is the golden one
 //     (converge.go).
 //
-//   - Journaling. Every completed run is appended to a JSONL journal with
-//     periodic checkpoint records. Resume replays the journal, skips every
-//     recorded experiment, and merges journaled and fresh results into the
-//     exact Stats an uninterrupted campaign produces.
+//   - Journaling. Every completed run is recorded in the campaign's
+//     Ledger (ledger.go), which appends it to a JSONL journal with periodic
+//     checkpoint records. Resume replays the journal, skips every recorded
+//     experiment, and builds the exact Stats an uninterrupted campaign
+//     produces from journaled and fresh results.
 //
 // Callers (internal/core, fleet workers, campaignd) run campaigns through
 // New(cfg).Run or RunExperiments; inject.RunExperimentsNaive stays as the
@@ -149,11 +150,7 @@ func (c *Config) effectiveCheckpointEvery() int {
 // them from HTTP handlers).
 type Engine struct {
 	cfg Config
-
-	total     atomic.Int64
-	done      atomic.Int64
-	preloaded atomic.Int64 // journaled runs adopted by Resume
-	counts    [6]atomic.Int64
+	led atomic.Pointer[Ledger] // the campaign's record; nil before Run
 
 	groupsTotal atomic.Int64 // target-address groups (engine-level shards) scheduled
 	groupsDone  atomic.Int64 // groups whose pending experiments all finished
@@ -162,16 +159,12 @@ type Engine struct {
 	snapshotRuns    atomic.Int64 // runs served by snapshot restore
 	synthesizedRuns atomic.Int64 // NA runs synthesized from an unreached prefix
 
-	// mu guards work and cv, which Metrics and Progress read while the
-	// campaign runs.
+	// mu guards work, which Metrics reads while the campaign runs.
 	mu   sync.Mutex
-	work Work       // harvested from machines and workers after each group
-	cv   *CacheView // nil with the cache off
+	work Work // harvested from machines and workers after each group
 
-	workers    atomic.Int64
-	busyNanos  atomic.Int64
-	startNanos atomic.Int64
-	endNanos   atomic.Int64
+	workers   atomic.Int64
+	busyNanos atomic.Int64
 }
 
 // New returns an engine for cfg.
@@ -191,28 +184,17 @@ func (e *Engine) Run(ctx context.Context) (*inject.Stats, error) {
 // RunExperiments executes an explicit experiment list (random campaigns,
 // differential tests). cfg.App must already be the scheme's image.
 func (e *Engine) RunExperiments(ctx context.Context, exps []inject.Experiment) (*inject.Stats, error) {
-	var w *journalWriter
-	if e.cfg.Journal != "" {
-		if got, want := inject.ModelOf(exps), faultmodel.Canonical(e.cfg.Model); got != want {
-			// The journal header records cfg.Model as the index space; an
-			// experiment list from a different model would journal indices
-			// that mean different injections on resume.
-			return nil, fmt.Errorf("campaign: experiment list is fault model %q but config (and journal identity) say %q", got, want)
-		}
-		var err error
-		w, err = newJournalWriter(e.cfg.Journal, true, e.cfg.effectiveCheckpointEvery(), e.cfg.CheckpointSync)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.writeHeader(journalIdentity(&e.cfg, len(exps))); err != nil {
-			err = fmt.Errorf("campaign: journal header: %w", err)
-			if aerr := w.abort(); aerr != nil {
-				err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-			}
-			return nil, err
-		}
+	if got, want := inject.ModelOf(exps), faultmodel.Canonical(e.cfg.Model); e.cfg.Journal != "" && got != want {
+		// The journal header records cfg.Model as the index space; an
+		// experiment list from a different model would journal indices
+		// that mean different injections on resume.
+		return nil, fmt.Errorf("campaign: experiment list is fault model %q but config (and journal identity) say %q", got, want)
 	}
-	return e.run(ctx, exps, nil, w)
+	led, err := OpenLedger(&e.cfg, exps, false)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(ctx, led)
 }
 
 // Resume continues the campaign recorded in cfg.Journal: experiments with
@@ -226,28 +208,15 @@ func Resume(ctx context.Context, cfg Config) (*inject.Stats, error) {
 // Resume is the method form of the package-level Resume; it leaves the
 // caller a handle for Progress and Metrics while the campaign runs.
 func (e *Engine) Resume(ctx context.Context) (*inject.Stats, error) {
-	if e.cfg.Journal == "" {
-		return nil, errors.New("campaign: Resume needs cfg.Journal")
-	}
 	exps, err := e.enumerate()
 	if err != nil {
 		return nil, err
 	}
-	// Claim the writer before replaying the journal: if another engine is
-	// appending to this path, Resume must fail up front rather than read a
-	// moving file and race a second writer onto it.
-	w, err := newJournalWriter(e.cfg.Journal, false, e.cfg.effectiveCheckpointEvery(), e.cfg.CheckpointSync)
+	led, err := OpenLedger(&e.cfg, exps, true)
 	if err != nil {
 		return nil, err
 	}
-	skip, err := readJournal(e.cfg.Journal, journalIdentity(&e.cfg, len(exps)))
-	if err != nil {
-		if aerr := w.abort(); aerr != nil {
-			err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-		}
-		return nil, err
-	}
-	return e.run(ctx, exps, skip, w)
+	return e.run(ctx, led)
 }
 
 func (e *Engine) enumerate() ([]inject.Experiment, error) {
@@ -260,13 +229,14 @@ type group struct {
 	indices []int
 }
 
-// groupByTarget shards pending experiments by target address, in first-
-// appearance (address-enumeration) order.
-func groupByTarget(exps []inject.Experiment, skip map[int]*WireResult) []group {
+// groupByTarget shards pending experiments (those without have[i]; nil
+// means none is recorded) by target address, in first-appearance
+// (address-enumeration) order.
+func groupByTarget(exps []inject.Experiment, have []bool) []group {
 	byAddr := make(map[uint32]int)
 	var out []group
 	for i := range exps {
-		if _, done := skip[i]; done {
+		if have != nil && have[i] {
 			continue
 		}
 		addr := exps[i].Target.Addr
@@ -350,41 +320,24 @@ func (e *Engine) harvest(m *vm.Machine, w Work) {
 }
 
 // run is the engine core: shard by target, sweep-capture snapshots in
-// waves, execute on the worker pool, journal, aggregate.
-func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
-	skip map[int]*WireResult, w *journalWriter) (*inject.Stats, error) {
-	total := len(exps)
-	e.total.Store(int64(total))
-	e.startNanos.Store(time.Now().UnixNano())
-	defer func() { e.endNanos.Store(time.Now().UnixNano()) }()
-
+// waves, execute on the worker pool, and record every run in led, which
+// journals and aggregates.
+func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
+	e.led.Store(led)
+	exps := led.Experiments()
 	fuel := e.cfg.effectiveFuel()
 	golden, err := inject.GoldenRun(e.cfg.App, e.cfg.Scenario, fuel)
 	if err != nil {
-		// Release the journal writer: without this, the path claim leaks
-		// (every later submit gets ErrJournalBusy) and a header-only file
-		// is left to poison the next resume. abort removes the orphan.
-		if w != nil {
-			if aerr := w.abort(); aerr != nil {
-				err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-			}
-		}
-		return nil, err
+		// Finish aborts the journal, releasing the path claim (else every
+		// later submit gets ErrJournalBusy) and removing a header-only file.
+		return led.Finish(ctx, err)
 	}
 	var cfValid map[uint32]struct{}
 	if e.cfg.Watchdog {
 		cfValid = inject.ValidInstructionStarts(e.cfg.App)
 	}
 
-	results := make([]inject.Result, total)
-	for idx, wr := range skip {
-		results[idx] = wr.ToResult(exps[idx])
-		e.counts[results[idx].Outcome].Add(1)
-	}
-	e.preloaded.Store(int64(len(skip)))
-	e.done.Store(int64(len(skip)))
-
-	groups := groupByTarget(exps, skip)
+	groups := led.pending()
 	e.groupsTotal.Store(int64(len(groups)))
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -402,51 +355,22 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 		errMu.Unlock()
 		cancel()
 	}
-	finish := func(idx int, res inject.Result) {
-		results[idx] = res
-		e.counts[res.Outcome].Add(1)
-		d := int(e.done.Add(1))
-		if w != nil {
-			if err := w.writeRun(idx, res, d, e.countsMap()); err != nil {
-				fail(fmt.Errorf("campaign: journal append: %w", err))
-				return
-			}
-		}
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(d, total)
-		}
-		if e.cfg.OnResult != nil {
-			e.cfg.OnResult(idx, res)
-		}
-	}
 
 	// Cache adoption: consult the content-addressed store for every pending
-	// group before any execution is scheduled. Adopted groups finish through
-	// the normal path — journaled, streamed, counted — so a warm campaign
-	// is indistinguishable downstream from a cold one; the remaining groups
-	// are the delta that actually executes.
+	// group before any execution is scheduled. The ledger records adopted
+	// runs like executed ones (journaled, streamed, counted), so a warm
+	// campaign is indistinguishable downstream from a cold one; the
+	// remaining groups are the delta that actually executes.
 	var cv *CacheView
 	if e.cfg.cacheActive() {
-		cv, err = e.buildCache(exps, golden)
-		if err != nil {
+		if cv, err = e.buildCache(exps, golden); err != nil {
+			fail(err)
+		} else if err = led.AdoptCache(runCtx, cv); err != nil {
 			fail(err)
 		} else {
-			e.mu.Lock()
-			e.cv = cv
-			e.mu.Unlock()
-			pending := groups[:0]
-			for i := range groups {
-				if runCtx.Err() == nil {
-					if rem := cv.Adopt(groups[i].addr, exps, groups[i].indices, finish); len(rem) == 0 {
-						e.groupsDone.Add(1)
-						continue
-					} else {
-						groups[i].indices = rem
-					}
-				}
-				pending = append(pending, groups[i])
-			}
-			groups = pending
+			rem := led.pending()
+			e.groupsDone.Add(int64(len(groups) - len(rem)))
+			groups = rem
 		}
 	}
 
@@ -507,13 +431,13 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 					begin := time.Now()
 					var work Work
 					wm = e.runGroup(runCtx, wm, &wave[gi], exps, golden, naRun,
-						snaps[wave[gi].addr], sh, &work, finish, fail)
+						snaps[wave[gi].addr], sh, &work, led, fail)
 					e.busyNanos.Add(time.Since(begin).Nanoseconds())
 					e.harvest(wm, work)
 					if runCtx.Err() == nil {
 						e.groupsDone.Add(1)
 						if cv != nil {
-							if werr := cv.store(wave[gi].addr, exps, results); werr != nil {
+							if werr := cv.StoreGroup(wave[gi].addr, led); werr != nil {
 								fail(fmt.Errorf("campaign: cache write-back at %#x: %w", wave[gi].addr, werr))
 							}
 						}
@@ -533,37 +457,16 @@ func (e *Engine) run(ctx context.Context, exps []inject.Experiment,
 		wg.Wait()
 	}
 
-	if w != nil {
-		if err := w.close(int(e.done.Load()), e.countsMap()); err != nil && loopErr == nil {
-			loopErr = fmt.Errorf("campaign: journal close: %w", err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// The journal (if any) has already been closed with a final
-		// checkpoint above, so a canceled campaign is cleanly resumable.
-		return nil, &inject.CanceledError{Done: int(e.done.Load()), Total: total, Cause: err}
-	}
-	if loopErr != nil {
-		return nil, loopErr
-	}
-
-	stats := inject.NewStats(e.cfg.App.Name, e.cfg.Scenario.Name, e.cfg.Scheme, inject.ModelOf(exps))
-	for i := range results {
-		stats.Add(results[i])
-	}
-	if e.cfg.KeepResults {
-		stats.Results = results
-	}
-	return stats, nil
+	return led.Finish(ctx, loopErr)
 }
 
 // runGroup executes every pending experiment of one target-address shard
 // against the target's prefix snapshot (nil = never activated). It returns
-// the (possibly newly allocated) reusable worker machine, and counts the
-// group's converged runs in w.
+// the (possibly newly allocated) reusable worker machine, records every
+// run in led, and counts the group's converged runs in w.
 func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	exps []inject.Experiment, golden *classify.Golden, naRun *classify.Run,
-	snap *snapEntry, sh *shadow, w *Work, finish func(int, inject.Result), fail func(error)) *vm.Machine {
+	snap *snapEntry, sh *shadow, w *Work, led *Ledger, fail func(error)) *vm.Machine {
 
 	if snap == nil {
 		// The target instruction never executes under this scenario. A
@@ -575,7 +478,10 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 				return wm
 			}
 			e.synthesizedRuns.Add(1)
-			finish(idx, inject.ResultFromRun(golden, exps[idx], naRun, e.cfg.Scenario.ShouldGrant, 0))
+			if _, err := led.Record(idx, inject.ResultFromRun(golden, exps[idx], naRun, e.cfg.Scenario.ShouldGrant, 0)); err != nil {
+				fail(err)
+				return wm
+			}
 		}
 		return wm
 	}
@@ -611,66 +517,27 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			return wm
 		}
 		e.snapshotRuns.Add(1)
+		var res inject.Result
 		if converging && chk.at != 0 {
 			w.ConvergedRuns++
 			w.InstructionsSaved += int64(golden.Steps - chk.at)
-			res := inject.ResultFromRun(golden, ex, goldenEnd, shouldGrant, goldenWindow)
+			res = inject.ResultFromRun(golden, ex, goldenEnd, shouldGrant, goldenWindow)
 			if onConverged != nil {
 				onConverged(idx, res, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
 			}
-			finish(idx, res)
-			continue
+		} else {
+			res = inject.ResultFromRun(golden, ex, &run, shouldGrant, window)
 		}
-		finish(idx, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
+		if _, err := led.Record(idx, res); err != nil {
+			fail(err)
+			return wm
+		}
 	}
 	return wm
 }
 
-func (e *Engine) countsMap() map[string]int {
-	out := make(map[string]int, 5)
-	for _, o := range classify.Outcomes() {
-		if n := e.counts[o].Load(); n > 0 {
-			out[o.String()] = int(n)
-		}
-	}
-	return out
-}
-
-// Progress is a point-in-time view of a running (or finished) campaign.
-type Progress struct {
-	// Done and Total are completed and total experiment counts; Done
-	// includes runs adopted from a resumed journal.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// Counts maps outcome abbreviations (NA/NM/SD/FSV/BRK) to run counts.
-	Counts map[string]int `json:"counts"`
-	// ElapsedSeconds is wall time since the campaign started.
-	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	// RunsPerSec is fresh-run throughput (journal- and cache-adopted runs
-	// excluded).
-	RunsPerSec float64 `json:"runsPerSec"`
-	// ETASeconds estimates time to completion at the current throughput;
-	// 0 when done or unknown.
-	ETASeconds float64 `json:"etaSeconds"`
-}
-
 // Progress reports campaign progress. Safe to call concurrently with Run.
-func (e *Engine) Progress() Progress {
-	p := Progress{
-		Done:   int(e.done.Load()),
-		Total:  int(e.total.Load()),
-		Counts: e.countsMap(),
-	}
-	p.ElapsedSeconds = e.elapsed().Seconds()
-	fresh := p.Done - int(e.preloaded.Load()) - int(e.cacheCounters().CacheHits)
-	if p.ElapsedSeconds > 0 && fresh > 0 {
-		p.RunsPerSec = float64(fresh) / p.ElapsedSeconds
-		if remaining := p.Total - p.Done; remaining > 0 {
-			p.ETASeconds = float64(remaining) / p.RunsPerSec
-		}
-	}
-	return p
-}
+func (e *Engine) Progress() Progress { return e.led.Load().Progress() }
 
 // Work is the work-counter record every layer passes along and adds to:
 // an engine sums it over its machines and runs, a fleet coordinator over
@@ -770,12 +637,13 @@ type Metrics struct {
 
 // Metrics reports operational counters. Safe to call concurrently with Run.
 func (e *Engine) Metrics() Metrics {
+	led := e.led.Load()
 	m := Metrics{
 		SnapshotRuns:   e.snapshotRuns.Load(),
 		SynthesizedNA:  e.synthesizedRuns.Load(),
 		PrefixRuns:     e.prefixRuns.Load(),
-		JournalAdopted: e.preloaded.Load(),
-		CacheCounters:  e.cacheCounters(),
+		JournalAdopted: int64(led.Tally().JournalAdopted),
+		CacheCounters:  led.Cache().Counters(),
 		GroupsTotal:    e.groupsTotal.Load(),
 		GroupsDone:     e.groupsDone.Load(),
 		Workers:        int(e.workers.Load()),
@@ -790,7 +658,7 @@ func (e *Engine) Metrics() Metrics {
 	if fetches := m.ICacheHits + m.ICacheMisses; fetches > 0 {
 		m.ICacheHitRate = float64(m.ICacheHits) / float64(fetches)
 	}
-	elapsed := e.elapsed().Seconds()
+	elapsed := led.Elapsed().Seconds()
 	if elapsed > 0 {
 		m.RunsPerSec = float64(m.RunsTotal) / elapsed
 		if m.Workers > 0 {
@@ -798,28 +666,4 @@ func (e *Engine) Metrics() Metrics {
 		}
 	}
 	return m
-}
-
-// cacheCounters reports the result cache's counters; zero with the cache
-// off.
-func (e *Engine) cacheCounters() CacheCounters {
-	e.mu.Lock()
-	cv := e.cv
-	e.mu.Unlock()
-	if cv == nil {
-		return CacheCounters{}
-	}
-	return cv.Counters()
-}
-
-func (e *Engine) elapsed() time.Duration {
-	start := e.startNanos.Load()
-	if start == 0 {
-		return 0
-	}
-	end := e.endNanos.Load()
-	if end == 0 {
-		end = time.Now().UnixNano()
-	}
-	return time.Duration(end - start)
 }

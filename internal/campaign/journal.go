@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -276,6 +277,12 @@ func (w *journalWriter) writeHeader(rec journalRecord) error {
 // writeRun appends one run record and, every checkpointEvery runs, a
 // checkpoint summarizing progress so far.
 func (w *journalWriter) writeRun(idx int, r inject.Result, done int, counts map[string]int) error {
+	return w.appendRun(idx, r, done, func() map[string]int { return counts })
+}
+
+// appendRun is writeRun with the checkpoint counts built by counts, which
+// is called only when a checkpoint is due.
+func (w *journalWriter) appendRun(idx int, r inject.Result, done int, counts func() map[string]int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.write(&journalRecord{Type: recordRun, Idx: idx, Result: Wire(r)}); err != nil {
@@ -285,7 +292,7 @@ func (w *journalWriter) writeRun(idx int, r inject.Result, done int, counts map[
 	w.runsSinceCkpt++
 	if w.runsSinceCkpt >= w.checkpointEvery {
 		w.runsSinceCkpt = 0
-		if err := w.write(&journalRecord{Type: recordCheckpoint, Done: done, Counts: counts}); err != nil {
+		if err := w.write(&journalRecord{Type: recordCheckpoint, Done: done, Counts: counts()}); err != nil {
 			return err
 		}
 		if w.syncCheckpoints {
@@ -334,6 +341,15 @@ func (w *journalWriter) abort() error {
 	return err
 }
 
+// abortWith aborts the writer on a campaign failure and returns err,
+// noting an abort failure in it.
+func (w *journalWriter) abortWith(err error) error {
+	if aerr := w.abort(); aerr != nil {
+		err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
+	}
+	return err
+}
+
 // errorOrNil returns the first non-nil error.
 func errorOrNil(a, b error) error {
 	if a != nil {
@@ -352,8 +368,12 @@ func readJournal(path string, want journalRecord) (map[int]*WireResult, error) {
 		return nil, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
+	return parseJournal(f, path, want)
+}
 
-	sc := bufio.NewScanner(f)
+// parseJournal is readJournal over r; path names the journal in errors.
+func parseJournal(r io.Reader, path string, want journalRecord) (map[int]*WireResult, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	out := make(map[int]*WireResult)
 	sawHeader := false
@@ -411,6 +431,12 @@ func readJournal(path string, want journalRecord) (map[int]*WireResult, error) {
 				rec.Result.Outcome < classify.OutcomeNA || rec.Result.Outcome > classify.OutcomeBRK {
 				pendingErr = fmt.Errorf("campaign: journal %s line %d: bad run record", path, lineNo)
 				continue
+			}
+			if prev, ok := out[rec.Idx]; ok && *prev != *rec.Result {
+				// Writers record an index once; a second, different result
+				// is corruption, and taking the last would let a cut
+				// journal disagree with the whole one.
+				return nil, fmt.Errorf("campaign: journal %s line %d: run %d contradicts an earlier record", path, lineNo, rec.Idx)
 			}
 			out[rec.Idx] = rec.Result
 		case recordCheckpoint:

@@ -11,20 +11,21 @@ import (
 )
 
 // This file is the campaign package's fleet seam: the shard-scoped engine
-// entry point a worker executes, and exported journal access so the fleet
-// coordinator writes the authoritative run log through the exact machinery
-// (format, flush discipline, single-writer registry) the local engine
-// uses. A journal written by a fleet coordinator is indistinguishable from
-// one written by a single-process engine with the same Config, so a
-// campaign canceled under one executor resumes under the other.
+// entry point a worker executes, and the exported journal handle. The
+// fleet coordinator records through a Ledger (ledger.go), which writes the
+// authoritative run log through the exact machinery (format, flush
+// discipline, single-writer registry) the local engine uses. A journal
+// written by a fleet coordinator is indistinguishable from one written by
+// a single-process engine with the same Config, so a campaign canceled
+// under one executor resumes under the other.
 
 // RunShard executes a shard — a subset of a larger campaign's experiment
 // enumeration — on the engine and reports every completed run through
 // emit, keyed by the caller's global experiment index (globals[i] is the
 // campaign-global index of shard[i]). Shard execution is journal-free by
 // construction: the coordinator that planned the shard owns the journal,
-// so cfg.Journal must be empty. emit is called concurrently from worker
-// goroutines, like Config.Progress.
+// so cfg.Journal must be empty. The shard's in-memory ledger calls emit,
+// concurrently from worker goroutines, like Config.Progress.
 //
 // Because every run restores a snapshot captured from the same
 // deterministic golden sweep the full campaign would take, a shard's
@@ -40,21 +41,20 @@ func (e *Engine) RunShard(ctx context.Context, shard []inject.Experiment,
 	if e.cfg.Journal != "" {
 		return errors.New("campaign: shards run journal-free; the coordinator owns the journal")
 	}
-	prev := e.cfg.OnResult
-	e.cfg.OnResult = func(idx int, res inject.Result) {
-		emit(globals[idx], res)
-		if prev != nil {
-			prev(idx, res)
-		}
+	led, err := OpenLedger(&e.cfg, shard, false)
+	if err != nil {
+		return err
 	}
-	_, err := e.run(ctx, shard, nil, nil)
+	led.emit = func(idx int, res inject.Result) { emit(globals[idx], res) }
+	_, err = e.run(ctx, led)
 	return err
 }
 
-// Journal is the exported handle over the campaign run journal for
-// alternative executors (the fleet coordinator). It shares the JSONL
-// format, per-record flush discipline, checkpoint cadence, and process-
-// local single-writer registry with the engine's own journaling.
+// Journal is the exported handle over the campaign run journal, for
+// callers that write one outside a Ledger (the benchmark driver). It
+// shares the JSONL format, per-record flush discipline, checkpoint
+// cadence, and process-local single-writer registry with the ledger's
+// journaling.
 type Journal struct {
 	w *journalWriter
 }
@@ -75,11 +75,7 @@ func OpenJournal(cfg *Config, total int, trunc bool) (*Journal, error) {
 	}
 	if trunc {
 		if err := w.writeHeader(journalIdentity(cfg, total)); err != nil {
-			err = fmt.Errorf("campaign: journal header: %w", err)
-			if aerr := w.abort(); aerr != nil {
-				err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-			}
-			return nil, err
+			return nil, w.abortWith(fmt.Errorf("campaign: journal header: %w", err))
 		}
 	}
 	return &Journal{w: w}, nil

@@ -4,49 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"faultsec/internal/campaign"
-	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
 )
 
 // Coordinator executes one fleet campaign: it plans shards, leases them
-// to workers, journals every first-seen result, and merges the shard
-// aggregates into the exact Stats a single-process engine produces. Its
-// Progress and Metrics accessors are safe for concurrent use while the
-// campaign runs (cmd/campaignd polls them from HTTP handlers).
+// to workers, and records every streamed result in the campaign's
+// campaign.Ledger, which journals first-seen results and builds the exact
+// Stats a single-process engine produces. Its Progress and Metrics
+// accessors are safe for concurrent use while the campaign runs
+// (cmd/campaignd polls them from HTTP handlers).
 type Coordinator struct {
 	cfg     Config
 	workers []*workerState
+	led     atomic.Pointer[campaign.Ledger] // nil before Run
 
 	mu        sync.Mutex
 	shards    []*shardState
-	shardsOut int // shards done
-	exps      []inject.Experiment
-	results   []inject.Result
-	have      []bool
-	jr        *campaign.Journal
-	cv        *campaign.CacheView
+	shardsOut int           // shards done
 	work      campaign.Work // summed from settled attempts only
 	failErr   error
 	cancelRun context.CancelFunc
 
-	total        atomic.Int64
-	done         atomic.Int64
-	adopted      atomic.Int64
-	cacheAdopted atomic.Int64
-	counts       [6]atomic.Int64
-	freshRuns    atomic.Int64
-	retries      atomic.Int64
-	speculative  atomic.Int64
-	duplicates   atomic.Int64
-	startNanos   atomic.Int64
-	endNanos     atomic.Int64
+	retries     atomic.Int64
+	speculative atomic.Int64
 }
 
 // workerState is the coordinator's view of one worker.
@@ -105,129 +91,41 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 	if err != nil {
 		return nil, err
 	}
-	total := len(exps)
-	c.total.Store(int64(total))
-	c.startNanos.Store(time.Now().UnixNano())
-	defer func() { c.endNanos.Store(time.Now().UnixNano()) }()
-
-	var jr *campaign.Journal
-	var adopted map[int]inject.Result
-	switch {
-	case cc.Journal != "":
-		if jr, err = campaign.OpenJournal(cc, total, !resume); err != nil {
-			return nil, err
-		}
-		if resume {
-			if adopted, err = campaign.ReplayJournal(cc, exps); err != nil {
-				if aerr := jr.Abort(); aerr != nil {
-					err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-				}
-				return nil, err
-			}
-		}
-	case resume:
-		return nil, errors.New("fleet: Resume needs cfg.Campaign.Journal")
-	}
-
-	// The cache view runs one fault-free golden session (its observables
-	// are key material), so it is built before taking the lock.
-	cv, err := campaign.NewCacheView(*cc, exps)
+	led, err := campaign.OpenLedger(cc, exps, resume)
 	if err != nil {
-		if jr != nil {
-			if aerr := jr.Abort(); aerr != nil {
-				err = fmt.Errorf("%w (journal abort: %v)", err, aerr)
-			}
-		}
 		return nil, err
 	}
+	c.led.Store(led)
 
-	c.mu.Lock()
-	c.exps = exps
-	c.results = make([]inject.Result, total)
-	c.have = make([]bool, total)
-	for idx, r := range adopted {
-		c.results[idx] = r
-		c.have[idx] = true
-		c.counts[r.Outcome].Add(1)
+	// Cache adoption happens before planning: the ledger records every hit,
+	// so a shard whose experiments are all cached (or journal-adopted)
+	// plans with an empty pending set and is never leased — only the
+	// groups whose keyed context changed execute. The cache view runs one
+	// fault-free golden session (its observables are key material).
+	cv, err := campaign.NewCacheView(*cc, exps)
+	if err == nil {
+		err = led.AdoptCache(ctx, cv)
 	}
-	c.adopted.Store(int64(len(adopted)))
-	c.done.Store(int64(len(adopted)))
-	c.jr = jr
-	c.cv = cv
-
-	// Cache adoption happens before planning: every hit is journaled and
-	// marked have, so a shard whose experiments are all cached (or
-	// journal-adopted) plans with an empty pending set and is never
-	// leased — only the groups whose keyed context changed execute.
-	type adoptedRun struct {
-		idx int
-		res inject.Result
-		d   int
-	}
-	var cacheRuns []adoptedRun
-	if cv != nil {
-		for _, g := range addrGroups(exps, 0, total) {
-			var pending []int
-			for i := g.lo; i < g.hi; i++ {
-				if !c.have[i] {
-					pending = append(pending, i)
-				}
-			}
-			if len(pending) == 0 {
-				continue
-			}
-			// A class miss stays pending and is planned into a shard.
-			cv.Adopt(g.addr, exps, pending, func(idx int, r inject.Result) {
-				if c.failErr != nil {
-					return
-				}
-				c.results[idx] = r
-				c.have[idx] = true
-				c.counts[r.Outcome].Add(1)
-				d := int(c.done.Add(1))
-				c.cacheAdopted.Add(1)
-				if jr != nil {
-					if err := jr.Append(idx, r, d, c.countsMap()); err != nil {
-						c.failLocked(fmt.Errorf("fleet: journal append: %w", err))
-						return
-					}
-				}
-				cacheRuns = append(cacheRuns, adoptedRun{idx: idx, res: r, d: d})
-			})
-			if c.failErr != nil {
-				break
-			}
-		}
+	if err != nil {
+		return led.Finish(ctx, err)
 	}
 
 	shardRuns := c.cfg.ShardRuns
 	if shardRuns <= 0 {
-		shardRuns = defaultShardRuns(total, len(c.workers))
+		shardRuns = defaultShardRuns(len(exps), len(c.workers))
 	}
-	c.shards = planShards(exps, c.have, shardRuns)
+	c.mu.Lock()
+	c.shards = planShards(exps, led.Have(), shardRuns)
 	for _, sh := range c.shards {
 		if len(sh.pending) == 0 {
 			sh.done = true
 			c.shardsOut++
 			// Backfill the store from shards completed without leasing
 			// (journal-adopted resumes): their groups may predate the cache.
-			c.storeShardGroupsLocked(sh)
+			c.storeShardGroupsLocked(led, sh)
 		}
 	}
 	c.mu.Unlock()
-
-	// Fire the progress/result hooks for cache-adopted runs outside the
-	// lock, in adoption order — mirroring deliver for fresh runs.
-	if progress, onResult := cc.Progress, cc.OnResult; progress != nil || onResult != nil {
-		for _, ar := range cacheRuns {
-			if progress != nil {
-				progress(ar.d, total)
-			}
-			if onResult != nil {
-				onResult(ar.idx, ar.res)
-			}
-		}
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -262,25 +160,10 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 
 	c.mu.Lock()
 	failErr := c.failErr
-	doneRuns := int(c.done.Load())
-	countsNow := c.countsMap()
 	c.mu.Unlock()
-
-	if jr != nil {
-		if err := jr.Close(doneRuns, countsNow); err != nil && failErr == nil {
-			failErr = fmt.Errorf("fleet: journal close: %w", err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Every journaled run is flushed and the final checkpoint written:
-		// a canceled fleet campaign resumes cleanly (on a fleet or on a
-		// single-process engine).
-		return nil, &inject.CanceledError{Done: doneRuns, Total: total, Cause: err}
-	}
-	if failErr != nil {
-		return nil, failErr
-	}
-	return c.assemble()
+	// On cancel the journal gets its final checkpoint: a canceled fleet
+	// campaign resumes cleanly (on a fleet or on a single-process engine).
+	return led.Finish(ctx, failErr)
 }
 
 // runnersDone returns a channel closed once every shard is settled (done
@@ -301,36 +184,6 @@ func (c *Coordinator) runnersDone(ctx context.Context) <-chan struct{} {
 		}
 	}()
 	return ch
-}
-
-// assemble merges the per-shard aggregates in plan order. Shards tile the
-// enumeration, so the merge is byte-identical to a single pass of
-// Stats.Add over all results — the same aggregate a single-process
-// engine builds.
-func (c *Coordinator) assemble() (*inject.Stats, error) {
-	cc := &c.cfg.Campaign
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	model := inject.ModelOf(c.exps)
-	stats := inject.NewStats(cc.App.Name, cc.Scenario.Name, cc.Scheme, model)
-	for i, ok := range c.have {
-		if !ok {
-			return nil, fmt.Errorf("fleet: internal: experiment %d has no result after completion", i)
-		}
-	}
-	for _, sh := range c.shards {
-		ss := inject.NewStats(cc.App.Name, cc.Scenario.Name, cc.Scheme, model)
-		for i := sh.start; i < sh.end; i++ {
-			ss.Add(c.results[i])
-		}
-		if err := stats.Merge(ss); err != nil {
-			return nil, err
-		}
-	}
-	if cc.KeepResults {
-		stats.Results = c.results
-	}
-	return stats, nil
 }
 
 // runner is one worker's dispatch loop: acquire a lease, execute the
@@ -429,55 +282,32 @@ func (c *Coordinator) allUnhealthy() bool {
 	return true
 }
 
-// deliver records one streamed result. The first delivery of an index
-// wins and is journaled; later deliveries (speculative duplicates, or a
-// retried shard re-covering runs a dead worker already streamed) are
-// checked byte-identical against the winner — a mismatch means the
-// determinism contract broke, and the campaign fails loudly rather than
-// merge diverging data.
+// deliver records one streamed result in the ledger, after checking it
+// lies in the shard. The first delivery of an index wins and is journaled;
+// later deliveries (speculative duplicates, or a retried shard re-covering
+// runs a dead worker already streamed) are checked byte-identical against
+// the winner — a mismatch means the determinism contract broke, and the
+// campaign fails loudly rather than merge diverging data.
 func (c *Coordinator) deliver(sh *shardState, ws *workerState, idx int, wr *campaign.WireResult) {
 	if wr == nil {
 		return
 	}
-	c.mu.Lock()
 	if idx < sh.start || idx >= sh.end {
-		c.failLocked(fmt.Errorf("fleet: worker %s delivered index %d outside shard %d [%d,%d)",
+		c.fail(fmt.Errorf("fleet: worker %s delivered index %d outside shard %d [%d,%d)",
 			ws.w.Name(), idx, sh.id, sh.start, sh.end))
-		c.mu.Unlock()
 		return
 	}
-	res := wr.ToResult(c.exps[idx])
-	if c.have[idx] {
-		c.duplicates.Add(1)
-		if !reflect.DeepEqual(c.results[idx], res) {
-			c.failLocked(fmt.Errorf("fleet: determinism violation: experiment %d from %s differs from the recorded result",
-				idx, ws.w.Name()))
-		}
-		c.mu.Unlock()
+	led := c.led.Load()
+	first, err := led.Record(idx, wr.ToResult(led.Experiments()[idx]))
+	if err != nil {
+		c.fail(fmt.Errorf("fleet: result from worker %s: %w", ws.w.Name(), err))
 		return
 	}
-	c.results[idx] = res
-	c.have[idx] = true
-	c.counts[res.Outcome].Add(1)
-	d := int(c.done.Add(1))
-	c.freshRuns.Add(1)
-	sh.freshDone++
-	ws.runs.Add(1)
-	if c.jr != nil {
-		if err := c.jr.Append(idx, res, d, c.countsMap()); err != nil {
-			c.failLocked(fmt.Errorf("fleet: journal append: %w", err))
-		}
-	}
-	progress := c.cfg.Campaign.Progress
-	onResult := c.cfg.Campaign.OnResult
-	total := int(c.total.Load())
-	c.mu.Unlock()
-
-	if progress != nil {
-		progress(d, total)
-	}
-	if onResult != nil {
-		onResult(idx, res)
+	if first {
+		c.mu.Lock()
+		sh.freshDone++
+		c.mu.Unlock()
+		ws.runs.Add(1)
 	}
 }
 
@@ -491,13 +321,11 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sh.runners--
+	led := c.led.Load()
 	if err == nil {
-		for _, idx := range sh.pending {
-			if !c.have[idx] {
-				err = fmt.Errorf("fleet: worker %s reported shard %d complete but experiment %d is missing",
-					ws.w.Name(), sh.id, idx)
-				break
-			}
+		if idx, missing := led.Missing(sh.pending); missing {
+			err = fmt.Errorf("fleet: worker %s reported shard %d complete but experiment %d is missing",
+				ws.w.Name(), sh.id, idx)
 		}
 	}
 	if err == nil {
@@ -509,7 +337,7 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 			// Persist the shard's freshly executed target groups; a group
 			// whose entry already exists (an adopted hit, or a concurrent
 			// writer) is a verified no-op inside StoreGroup.
-			c.storeShardGroupsLocked(sh)
+			c.storeShardGroupsLocked(led, sh)
 		}
 		return
 	}
@@ -529,45 +357,30 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 }
 
 // storeShardGroupsLocked writes every completed target group of sh to the
-// result cache (readwrite mode only; no-op without a cache view). Callers
+// result cache (readwrite mode only; no-op with the cache off). Callers
 // hold c.mu. A write failure fails the campaign: a same-key content
 // mismatch would mean the key derivation missed an input.
-func (c *Coordinator) storeShardGroupsLocked(sh *shardState) {
-	if c.cv == nil {
+func (c *Coordinator) storeShardGroupsLocked(led *campaign.Ledger, sh *shardState) {
+	cv := led.Cache()
+	if cv == nil {
 		return
 	}
-	for _, g := range addrGroups(c.exps, sh.start, sh.end) {
-		if err := c.cv.StoreGroup(g.addr, c.exps, c.results, c.have); err != nil {
-			c.failLocked(fmt.Errorf("fleet: cache write-back at %#x: %w", g.addr, err))
+	for _, addr := range sh.addrs {
+		if err := cv.StoreGroup(addr, led); err != nil {
+			c.failLocked(fmt.Errorf("fleet: cache write-back at %#x: %w", addr, err))
 			return
 		}
 	}
 }
 
-// addrSpan is one contiguous target-address group of the enumeration.
-type addrSpan struct {
-	addr   uint32
-	lo, hi int // global experiment index range [lo, hi)
+// fail records the campaign's first error and cancels the run.
+func (c *Coordinator) fail(err error) {
+	c.mu.Lock()
+	c.failLocked(err)
+	c.mu.Unlock()
 }
 
-// addrGroups splits exps[lo:hi) into its contiguous target-address groups
-// (the enumeration is target-major, so each target's experiments are
-// contiguous — the same property the shard planner leans on).
-func addrGroups(exps []inject.Experiment, lo, hi int) []addrSpan {
-	var out []addrSpan
-	for i := lo; i < hi; {
-		j := i + 1
-		for j < hi && exps[j].Target.Addr == exps[i].Target.Addr {
-			j++
-		}
-		out = append(out, addrSpan{addr: exps[i].Target.Addr, lo: i, hi: j})
-		i = j
-	}
-	return out
-}
-
-// failLocked records the campaign's first error and cancels the run.
-// Callers hold c.mu.
+// failLocked is fail for callers that hold c.mu.
 func (c *Coordinator) failLocked(err error) {
 	if c.failErr == nil {
 		c.failErr = err
@@ -622,47 +435,10 @@ func (c *Coordinator) specFor(sh *shardState) ShardSpec {
 		Model: campaign.WireModel(cc.Model),
 		Fuel:  cc.Fuel, Parallelism: cc.Parallelism, Watchdog: cc.Watchdog,
 		Tuning: cc.Tuning, CacheMode: cc.CacheMode,
-		Total: len(c.exps), Shard: sh.id, Indices: sh.pending,
+		Total: len(c.led.Load().Experiments()), Shard: sh.id, Indices: sh.pending,
 	}
-}
-
-func (c *Coordinator) countsMap() map[string]int {
-	out := make(map[string]int, 5)
-	for _, o := range classify.Outcomes() {
-		if n := c.counts[o].Load(); n > 0 {
-			out[o.String()] = int(n)
-		}
-	}
-	return out
 }
 
 // Progress reports campaign progress in the engine's shape. Safe to call
 // concurrently with Run.
-func (c *Coordinator) Progress() campaign.Progress {
-	p := campaign.Progress{
-		Done:   int(c.done.Load()),
-		Total:  int(c.total.Load()),
-		Counts: c.countsMap(),
-	}
-	p.ElapsedSeconds = c.elapsed().Seconds()
-	fresh := p.Done - int(c.adopted.Load()) - int(c.cacheAdopted.Load())
-	if p.ElapsedSeconds > 0 && fresh > 0 {
-		p.RunsPerSec = float64(fresh) / p.ElapsedSeconds
-		if remaining := p.Total - p.Done; remaining > 0 {
-			p.ETASeconds = float64(remaining) / p.RunsPerSec
-		}
-	}
-	return p
-}
-
-func (c *Coordinator) elapsed() time.Duration {
-	start := c.startNanos.Load()
-	if start == 0 {
-		return 0
-	}
-	end := c.endNanos.Load()
-	if end == 0 {
-		end = time.Now().UnixNano()
-	}
-	return time.Duration(end - start)
-}
+func (c *Coordinator) Progress() campaign.Progress { return c.led.Load().Progress() }

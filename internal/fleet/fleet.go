@@ -20,8 +20,9 @@
 //     single-process campaign.Engine produces, including the order of
 //     CrashLatencies and per-run Results.
 //
-// The coordinator owns the authoritative journal (the same JSONL format
-// and single-writer registry as the engine, via campaign.Journal), leases
+// The coordinator records every result in a campaign.Ledger, the engine's
+// own record, so it owns the authoritative journal in the same JSONL
+// format and single-writer registry as the engine; it leases
 // shards with per-attempt deadlines and capped exponential backoff,
 // health-checks workers over GET /healthz, and speculatively re-dispatches
 // straggler shards. An in-process loopback worker makes the single-node

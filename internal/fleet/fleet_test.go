@@ -328,6 +328,8 @@ func TestFleetJournalCancelResume(t *testing.T) {
 			}
 
 			var got *inject.Stats
+			var progress campaign.Progress
+			var adopted int64
 			switch finisher {
 			case "fleet":
 				rcfg := fleetConfig(app, sc,
@@ -340,16 +342,37 @@ func TestFleetJournalCancelResume(t *testing.T) {
 				if m := co.Metrics(); m.JournalAdopted < int64(canceled.Done) {
 					t.Errorf("resume adopted %d journaled runs, want >= %d", m.JournalAdopted, canceled.Done)
 				}
+				progress, adopted = co.Progress(), co.Metrics().JournalAdopted
 			case "engine":
-				got, err = campaign.New(campaign.Config{
+				eng := campaign.New(campaign.Config{
 					App: app, Scenario: sc, Scheme: encoding.SchemeX86,
 					KeepResults: true, Journal: journal,
-				}).Resume(context.Background())
+				})
+				got, err = eng.Resume(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
+				progress, adopted = eng.Progress(), eng.Metrics().JournalAdopted
 			}
 			requireIdentical(t, want, got)
+			// Both finishers keep one ledger: every run is done, the counts
+			// are the reference Stats', and exactly the canceled campaign's
+			// journaled runs are adopted.
+			if progress.Done != want.Total || progress.Total != want.Total {
+				t.Errorf("final progress %d/%d, want %d/%d", progress.Done, progress.Total, want.Total, want.Total)
+			}
+			wantCounts := map[string]int{}
+			for o, n := range want.Counts {
+				if n > 0 {
+					wantCounts[o.String()] = n
+				}
+			}
+			if !reflect.DeepEqual(progress.Counts, wantCounts) {
+				t.Errorf("final progress counts %v, want %v", progress.Counts, wantCounts)
+			}
+			if adopted != int64(canceled.Done) {
+				t.Errorf("metrics report %d journal-adopted runs, want the %d the canceled campaign journaled", adopted, canceled.Done)
+			}
 		})
 	}
 }

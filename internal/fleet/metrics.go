@@ -57,15 +57,18 @@ type ShardStatus struct {
 
 // Metrics snapshots the coordinator. Safe to call concurrently with Run.
 func (c *Coordinator) Metrics() Metrics {
+	led := c.led.Load()
+	t := led.Tally()
 	m := Metrics{
 		Retries:             c.retries.Load(),
 		SpeculativeAttempts: c.speculative.Load(),
-		DuplicateRuns:       c.duplicates.Load(),
-		JournalAdopted:      c.adopted.Load(),
-		RunsTotal:           c.freshRuns.Load(),
+		DuplicateRuns:       int64(t.Duplicates),
+		JournalAdopted:      int64(t.JournalAdopted),
+		CacheCounters:       led.Cache().Counters(),
+		RunsTotal:           int64(t.Fresh()),
 		WorkersTotal:        len(c.workers),
 	}
-	if sec := c.elapsed().Seconds(); sec > 0 {
+	if sec := led.Elapsed().Seconds(); sec > 0 {
 		m.RunsPerSec = float64(m.RunsTotal) / sec
 	}
 	for _, ws := range c.workers {
@@ -82,15 +85,12 @@ func (c *Coordinator) Metrics() Metrics {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cv != nil {
-		m.CacheCounters = c.cv.Counters()
-	}
 	m.Work = c.work
 	m.ShardsTotal = len(c.shards)
 	m.ShardsDone = c.shardsOut
 	for _, sh := range c.shards {
 		st := ShardStatus{
-			ID: sh.id, Start: sh.start, End: sh.end, Targets: sh.targets,
+			ID: sh.id, Start: sh.start, End: sh.end, Targets: len(sh.addrs),
 			Done: sh.adopted + sh.freshDone, Attempts: sh.attempts,
 			Worker: sh.worker,
 		}

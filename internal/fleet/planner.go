@@ -11,10 +11,10 @@ import (
 // guarded by the coordinator mutex.
 type shardState struct {
 	id         int
-	start, end int   // global index range [start, end), target-aligned
-	targets    int   // distinct target addresses
-	pending    []int // global indices needing execution (not journal-adopted)
-	adopted    int   // journal-adopted runs inside [start, end)
+	start, end int      // global index range [start, end), target-aligned
+	addrs      []uint32 // its target addresses, in enumeration order
+	pending    []int    // global indices needing execution (not yet recorded)
+	adopted    int      // journal- or cache-adopted runs inside [start, end)
 
 	// Lease state (guarded by Coordinator.mu).
 	done         bool
@@ -40,8 +40,9 @@ type shardState struct {
 // address share a prefix snapshot, so a shard never splits a target's
 // bit-flips across workers — each worker's engine gets whole groups and
 // full snapshot reuse. Shards tile [0, len(exps)) exactly; have marks
-// journal-adopted experiments, which stay inside their shard (for global
-// ordering) but are excluded from the dispatched pending set.
+// already-recorded (journal- or cache-adopted) experiments, which stay
+// inside their shard (for global ordering) but are excluded from the
+// dispatched pending set.
 func planShards(exps []inject.Experiment, have []bool, shardRuns int) []*shardState {
 	var shards []*shardState
 	newShard := func(start int) *shardState {
@@ -59,7 +60,7 @@ func planShards(exps []inject.Experiment, have []bool, shardRuns int) []*shardSt
 			cur = newShard(i)
 		}
 		cur.end = j
-		cur.targets++
+		cur.addrs = append(cur.addrs, addr)
 		for k := i; k < j; k++ {
 			if have != nil && have[k] {
 				cur.adopted++
