@@ -9,6 +9,7 @@ import (
 	"faultsec/internal/inject"
 	"faultsec/internal/kernel"
 	"faultsec/internal/vm"
+	"faultsec/internal/x86"
 )
 
 // Golden convergence. Many injected runs either derail or soon hold
@@ -24,6 +25,13 @@ import (
 // session never again retires the corrupted instruction. The run's result
 // is built from the golden end state instead of interpreting the remaining
 // instructions. DESIGN.md §3k has the soundness argument.
+//
+// The same replay answers one liveness question per register-fault target:
+// which registers does the session, from its first retirement of the
+// target on, fully overwrite before reading them again, or never read
+// again? A register fault into such a dead register cannot change the run:
+// it is the golden session from its activation on, and is recorded as such
+// without interpreting anything.
 
 // errConverged ends an injected run that has rejoined the golden shadow.
 var errConverged = errors.New("campaign: run rejoined the fault-free shadow")
@@ -53,6 +61,40 @@ type shadow struct {
 	// retired maps each target address to the step count just after the
 	// session's last retirement of it (0: never retired).
 	retired map[uint32]uint64
+	// live holds the liveness query of every target with a register-fault
+	// experiment.
+	live map[uint32]*liveness
+}
+
+// liveness is one target's register-liveness query: it opens at the
+// session's first retirement of the target and decides each register at
+// the register's next event there or after. The first read makes it live;
+// the first full write, or the end of the session, makes it dead.
+type liveness struct {
+	opened bool
+	at     uint64      // step count at the opening retirement
+	live   x86.RegMask // registers decided live
+	undec  x86.RegMask // registers still undecided
+}
+
+// dead returns the registers a fault at the target's activation, step
+// count at, cannot affect. An activation at another step than the query's
+// is a determinism violation.
+func (q *liveness) dead(at uint64) (x86.RegMask, error) {
+	if !q.opened || q.at != at {
+		return 0, fmt.Errorf("campaign: %w: the golden shadow first retires the target at step %d (reached %v), the sweep at %d",
+			errShadowDiverged, q.at, q.opened, at)
+	}
+	return ^q.live, nil
+}
+
+// event decides the undecided registers an instruction reads (live) or
+// writes (dead); a register both read and written is read first. It
+// reports whether any register is still undecided.
+func (q *liveness) event(reads, writes x86.RegMask) bool {
+	q.live |= q.undec & reads
+	q.undec &^= reads | writes
+	return q.undec != 0
 }
 
 func (sh *shadow) Syscall(m *vm.Machine) error {
@@ -68,9 +110,15 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // a valid instruction, so a session that jumps mid-instruction faults. A
 // replay that does not end exactly like the golden run returns an error
 // wrapping errShadowDiverged.
-func (e *Engine) goldenShadow(golden *classify.Golden, groups []group, fuel uint64) (*shadow, error) {
+//
+// For every group with a register-fault experiment the replay also runs a
+// liveness query; only while one is open does it decode each instruction
+// before stepping it.
+func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment, groups []group,
+	fuel uint64) (*shadow, error) {
 	client := e.cfg.Scenario.New()
-	sh := &shadow{k: kernel.New(client), retired: make(map[uint32]uint64, len(groups))}
+	sh := &shadow{k: kernel.New(client), retired: make(map[uint32]uint64, len(groups)),
+		live: make(map[uint32]*liveness)}
 	ld, err := e.cfg.App.Image.Load(sh, nil)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: shadow load: %w", err)
@@ -92,11 +140,38 @@ func (e *Engine) goldenShadow(golden *classify.Golden, groups []group, fuel uint
 
 	for i := range groups {
 		sh.retired[groups[i].addr] = 0
+		for _, idx := range groups[i].indices {
+			if exps[idx].Mut.Kind == inject.MutReg {
+				sh.live[groups[i].addr] = &liveness{}
+				break
+			}
+		}
 	}
-	var endErr error
+	var (
+		open   []*liveness // queries with undecided registers
+		in     x86.Inst
+		endErr error
+	)
 	for endErr == nil {
 		if _, ok := sh.retired[m.EIP]; ok {
 			sh.retired[m.EIP] = m.Steps + 1
+			if q := sh.live[m.EIP]; q != nil && !q.opened {
+				q.opened, q.at, q.undec = true, m.Steps, x86.AllRegs
+				open = append(open, q)
+			}
+		}
+		if len(open) > 0 {
+			reads, writes := x86.AllRegs, x86.RegMask(0)
+			if code, f := m.Mem.Fetch(m.EIP, x86.MaxInstLen); f == nil && x86.DecodeInto(&in, code) == nil {
+				reads, writes = x86.RegUseDef(&in)
+			}
+			kept := open[:0]
+			for _, q := range open {
+				if q.event(reads, writes) {
+					kept = append(kept, q)
+				}
+			}
+			open = kept
 		}
 		endErr = m.Step()
 	}

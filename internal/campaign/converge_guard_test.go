@@ -9,6 +9,7 @@ import (
 	"faultsec/internal/campaign"
 	"faultsec/internal/encoding"
 	"faultsec/internal/image"
+	"faultsec/internal/inject"
 	"faultsec/internal/target"
 )
 
@@ -150,6 +151,194 @@ func TestGoldenConvergenceGuards(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("stats differ from a run without convergence\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
+			}
+		})
+	}
+}
+
+// The register-liveness guard images. In each, check's branches are the
+// register-fault targets, and after a target the session reads one
+// register only in a way a careless use/def rule would miss, so a liveness
+// query that misses it records golden results for runs that end
+// differently.
+const (
+	// lateESISrc reads ESI once, as a memory operand's base, after a
+	// 2,000-iteration loop: the write count is derived from the byte ESI
+	// points to.
+	lateESISrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, msg
+	call check
+	mov ecx, 2000
+spin:
+	dec ecx
+	jne spin
+	movzx edx, byte [esi]
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// pushPopESISrc: check only saves and restores ESI; the caller then
+	// passes it to write as the count. pop esi is a full write, so only
+	// push esi keeps ESI live at the first branch.
+	pushPopESISrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 4
+	call check
+	mov edx, esi
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne save
+	nop
+save:
+	push esi
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	pop esi
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// syscallEDXSrc: EDX is set before the targets and read only by the
+	// kernel, as write's count.
+	syscallEDXSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov edx, 4
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// partialWriteSrc writes AL and then reads EAX: the 8-bit write keeps
+	// EAX's upper bytes, which end up in write's count.
+	partialWriteSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	mov al, 3
+	add eax, 1
+	mov edx, eax
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+)
+
+// TestRegisterLivenessGuards checks the dead-register shortcut on images
+// built to defeat one use/def rule each: memory-operand bases, push of a
+// register, syscall arguments, partial writes. Each regflip campaign must
+// record some runs through the shortcut and give Stats equal to the naive
+// executor's.
+func TestRegisterLivenessGuards(t *testing.T) {
+	for _, c := range []struct{ name, src string }{
+		{"lateESI", lateESISrc},
+		{"pushPopESI", pushPopESISrc},
+		{"syscallEDX", syscallEDXSrc},
+		{"partialWrite", partialWriteSrc},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			app, sc := guardApp(t, c.name, c.src)
+			cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip",
+				KeepResults: true, Parallelism: 1}
+			exps, err := campaign.EnumerateConfig(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := campaign.New(cfg)
+			got, err := eng.RunExperiments(context.Background(), exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Metrics().ConvergedRuns == 0 {
+				t.Error("no run converged")
+			}
+			want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
+				App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1,
+			}, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
 			}
 		})
 	}

@@ -48,9 +48,9 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 		converged int64
 		saved     int64
 	}{
-		{"regflip", "ftpd", 4128, 425_029_248},
-		{"regflip", "sshd", 4220, 868_446_803},
-		{"regflip", "httpd", 2514, 73_315_434},
+		{"regflip", "ftpd", 6880, 918_197_920},
+		{"regflip", "sshd", 7100, 1_715_321_459},
+		{"regflip", "httpd", 4178, 292_877_130},
 		{"bitflip", "ftpd", 191, 19_288_258},
 		{"bitflip", "sshd", 186, 11_816_229},
 		{"bitflip", "httpd", 111, 2_978_601},

@@ -59,6 +59,7 @@ import (
 	"faultsec/internal/kernel"
 	"faultsec/internal/target"
 	"faultsec/internal/vm"
+	"faultsec/internal/x86"
 )
 
 // Config parameterizes one engine campaign. The first block mirrors
@@ -378,7 +379,7 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 	// compare needs dirty tracking.
 	var sh *shadow
 	if !e.cfg.NoDirtyTracking && len(groups) > 0 && runCtx.Err() == nil {
-		if sh, err = e.goldenShadow(golden, groups, fuel); errors.Is(err, errShadowDiverged) {
+		if sh, err = e.goldenShadow(golden, exps, groups, fuel); errors.Is(err, errShadowDiverged) {
 			sh = nil
 		} else if err != nil {
 			fail(err)
@@ -489,38 +490,59 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	var chk convergenceChecker
 	goldenEnd, goldenWindow := snap.goldenEnd(golden)
 	shouldGrant := e.cfg.Scenario.ShouldGrant
+	var deadRegs x86.RegMask
+	if sh != nil && sh.live[g.addr] != nil {
+		var err error
+		if deadRegs, err = sh.live[g.addr].dead(snap.activationSteps); err != nil {
+			fail(err)
+			return wm
+		}
+	}
 	for _, idx := range g.indices {
 		if ctx.Err() != nil {
 			return wm
 		}
 		ex := exps[idx]
 		mut := ex.Mutation()
-		fresh := e.cfg.Scenario.New()
-		k2 := snap.k.NewKernel(fresh)
-		var sys vm.SyscallHandler = k2
-		converging := sh != nil && chk.arm(sh, k2, g.addr, &mut)
-		if converging {
-			sys = &chk
+		// A fault into a register the session overwrites before reading
+		// it, or never reads again, leaves the golden session running from
+		// its activation on: it converges there without executing, unless
+		// the paranoid hook wants the executed run too.
+		dead := mut.Kind == inject.MutReg && deadRegs>>mut.Reg&1 != 0
+		converged, at := dead, snap.activationSteps
+		var (
+			run    classify.Run
+			window int
+		)
+		if !dead || onConverged != nil {
+			fresh := e.cfg.Scenario.New()
+			k2 := snap.k.NewKernel(fresh)
+			var sys vm.SyscallHandler = k2
+			converging := sh != nil && chk.arm(sh, k2, g.addr, &mut)
+			if converging {
+				sys = &chk
+			}
+			var err error
+			if wm, err = rewind(wm, snap, sys); err != nil {
+				fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
+				return wm
+			}
+			// The snapshot IS the breakpoint-stop state (EIP at the target),
+			// so the restored machine is a session ready for the mutation.
+			s := inject.Session{Machine: wm, Kernel: k2, Client: fresh,
+				ActivationSteps: snap.activationSteps, BytesAtActivation: snap.bytesAtActivation}
+			if run, window, err = inject.Execute(&s, &ex.Target, &mut, nil); err != nil {
+				fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
+				return wm
+			}
+			if !dead {
+				converged, at = converging && chk.at != 0, chk.at
+			}
 		}
-		var err error
-		if wm, err = rewind(wm, snap, sys); err != nil {
-			fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
-			return wm
-		}
-		// The snapshot IS the breakpoint-stop state (EIP at the target), so
-		// the restored machine is a session ready for the mutation.
-		s := inject.Session{Machine: wm, Kernel: k2, Client: fresh,
-			ActivationSteps: snap.activationSteps, BytesAtActivation: snap.bytesAtActivation}
-		run, window, err := inject.Execute(&s, &ex.Target, &mut, nil)
-		if err != nil {
-			fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
-			return wm
-		}
-		e.snapshotRuns.Add(1)
 		var res inject.Result
-		if converging && chk.at != 0 {
+		if converged {
 			w.ConvergedRuns++
-			w.InstructionsSaved += int64(golden.Steps - chk.at)
+			w.InstructionsSaved += int64(golden.Steps - at)
 			res = inject.ResultFromRun(golden, ex, goldenEnd, shouldGrant, goldenWindow)
 			if onConverged != nil {
 				onConverged(idx, res, inject.ResultFromRun(golden, ex, &run, shouldGrant, window))
@@ -528,6 +550,7 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		} else {
 			res = inject.ResultFromRun(golden, ex, &run, shouldGrant, window)
 		}
+		e.snapshotRuns.Add(1)
 		if _, err := led.Record(idx, res); err != nil {
 			fail(err)
 			return wm
@@ -562,9 +585,10 @@ type Work struct {
 	FullRestores     int64 `json:"fullRestores"`
 	// ConvergedRuns counts runs stopped at a syscall entry where their
 	// whole state equalled the fault-free session's, apart from poked
-	// bytes the session never retires or reads again, and
-	// InstructionsSaved the golden instructions those runs therefore did
-	// not interpret (golden steps minus each convergence step).
+	// bytes the session never retires or reads again, and register faults
+	// into a register dead at their activation, which stop there.
+	// InstructionsSaved is the golden instructions those runs therefore
+	// did not interpret (golden steps minus each convergence step).
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`
 	InstructionsSaved int64 `json:"instructionsSaved,omitempty"`
 }

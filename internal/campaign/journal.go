@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -359,8 +360,8 @@ func errorOrNil(a, b error) error {
 }
 
 // readJournal parses a journal and returns the recorded results keyed by
-// experiment index. A truncated final line (the crash case) is ignored;
-// corruption anywhere else is an error. The header must match want's
+// experiment index. A bad final line without a trailing newline (the
+// crash case) is ignored; corruption anywhere else is an error. The header must match want's
 // identity.
 func readJournal(path string, want journalRecord) (map[int]*WireResult, error) {
 	f, err := os.Open(path)
@@ -375,6 +376,16 @@ func readJournal(path string, want journalRecord) (map[int]*WireResult, error) {
 func parseJournal(r io.Reader, path string, want journalRecord) (map[int]*WireResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// torn reports that the last line scanned has no trailing newline: a
+	// crash mid-append leaves such a line, a complete record never does.
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			torn = atEOF && bytes.IndexByte(data[:adv], '\n') < 0
+		}
+		return adv, tok, err
+	})
 	out := make(map[int]*WireResult)
 	sawHeader := false
 	lineNo := 0
@@ -458,7 +469,12 @@ func parseJournal(r io.Reader, path string, want journalRecord) (map[int]*WireRe
 	if !sawHeader {
 		return nil, fmt.Errorf("campaign: journal %s: missing header", path)
 	}
-	// pendingErr on the final line means the process died mid-append; the
-	// half-written record is simply re-run.
+	if pendingErr != nil && !torn {
+		// A complete final line is no crash artifact: it was written
+		// whole, and is as corrupt as any earlier line.
+		return nil, pendingErr
+	}
+	// pendingErr on a torn final line means the process died mid-append;
+	// the half-written record is simply re-run.
 	return out, nil
 }

@@ -295,3 +295,50 @@ func TestJournalCheckpointSyncSmoke(t *testing.T) {
 		t.Fatalf("synced journal replay: %d runs, err %v; want 6, nil", len(skip), err)
 	}
 }
+
+// TestReadJournalCompleteBadFinalRecord: only a final line without a
+// trailing newline is a crash-torn append the reader may drop. A complete
+// final record that is invalid — a run index outside [0, Total), an
+// unknown record type — was written whole and is corruption like any
+// other line.
+func TestReadJournalCompleteBadFinalRecord(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "wirecompat", "ftpd-Client1-x86.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(fixture), "\n")
+	var want journalRecord
+	if err := json.Unmarshal([]byte(lines[0]), &want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Total != 992 {
+		t.Fatalf("fixture total %d, want 992", want.Total)
+	}
+	prefix := lines[0] + lines[1]
+	for _, c := range []struct {
+		name, tail string
+		wantErr    bool
+	}{
+		{"index out of range", `{"type":"run","idx":5000,"result":{"outcome":2,"location":1,"activated":true}}` + "\n", true},
+		{"unknown record", `{"type":"bogus"}` + "\n", true},
+		{"torn index out of range", `{"type":"run","idx":5000,"result":{"outcome":2,"location":1,"activated":true}}`, false},
+		{"torn record", `{"type":"run","idx":7,"resu`, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.jsonl")
+			if err := os.WriteFile(path, []byte(prefix+c.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readJournal(path, want)
+			if c.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "line 3") {
+					t.Fatalf("err = %v (results %v), want an error naming line 3", err, got)
+				}
+				return
+			}
+			if err != nil || len(got) != 1 {
+				t.Fatalf("torn tail: %d results, err %v; want the one complete run and no error", len(got), err)
+			}
+		})
+	}
+}

@@ -2,6 +2,8 @@ package kernel_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -243,5 +245,64 @@ func TestStreamKernel(t *testing.T) {
 	}
 	if m.Regs[x86.EAX] != 0 {
 		t.Errorf("read at stream EOF = %d", int32(m.Regs[x86.EAX]))
+	}
+}
+
+// TestSyscallReadsOnlyEAXToEDX pins what register liveness assumes of the
+// kernel: a syscall's outcome — its error, EAX-EDX, memory, the transcript
+// and the client's view — depends on no register but EAX-EDX, and it
+// leaves ESP, EBP, ESI and EDI alone.
+func TestSyscallReadsOnlyEAXToEDX(t *testing.T) {
+	type call struct {
+		name              string
+		nr, ebx, ecx, edx uint32
+	}
+	script := []call{
+		{"write", kernel.SysWrite, 1, 0x8000, 5},
+		{"read", kernel.SysRead, 0, 0x8010, 64},
+		{"write bad fd", kernel.SysWrite, 7, 0x8000, 5},
+		{"read EFAULT", kernel.SysRead, 0, 0xDEAD0000, 64},
+		{"time", kernel.SysTime, 0x8040, 0, 0},
+		{"getpid", kernel.SysGetPID, 0, 0, 0},
+		{"unknown", 9999, 1, 2, 3},
+		{"exit", kernel.SysExit, 3, 0, 0},
+	}
+	type outcome struct {
+		errs   []string
+		regs   [][x86.NumRegs]uint32
+		mem    []byte
+		server string
+		seen   []string
+	}
+	run := func(high [4]uint32) outcome {
+		client := &echoClient{}
+		k := kernel.New(client)
+		m := machine(t, k)
+		if err := m.Mem.Poke(0x8000, []byte("ping\n")); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		for _, c := range script {
+			m.Regs[x86.ESP], m.Regs[x86.EBP], m.Regs[x86.ESI], m.Regs[x86.EDI] = high[0], high[1], high[2], high[3]
+			err := trap(t, m, c.nr, c.ebx, c.ecx, c.edx)
+			o.errs = append(o.errs, fmt.Sprint(err))
+			o.regs = append(o.regs, m.Regs)
+			if got := [4]uint32{m.Regs[x86.ESP], m.Regs[x86.EBP], m.Regs[x86.ESI], m.Regs[x86.EDI]}; got != high {
+				t.Errorf("%s changed ESP/EBP/ESI/EDI %x to %x", c.name, high, got)
+			}
+		}
+		o.mem, _ = m.Mem.Peek(0x8000, 256)
+		o.server = string(k.Transcript.ServerBytes())
+		o.seen = client.seen
+		return o
+	}
+	a := run([4]uint32{0x8080, 0x8090, 0, 0})
+	b := run([4]uint32{0x80F1, 0xFFFFFFFF, 0x8001, 0xDEADBEEF})
+	for i := range script {
+		a.regs[i][x86.ESP], a.regs[i][x86.EBP], a.regs[i][x86.ESI], a.regs[i][x86.EDI] = 0, 0, 0, 0
+		b.regs[i][x86.ESP], b.regs[i][x86.EBP], b.regs[i][x86.ESI], b.regs[i][x86.EDI] = 0, 0, 0, 0
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("syscall outcomes depend on ESP/EBP/ESI/EDI:\n%+v\n%+v", a, b)
 	}
 }

@@ -77,6 +77,16 @@ func stepDiff(t *testing.T, label string, mu, ml *Machine, maxSteps int) {
 // identical faults, flags, registers, EIP, step counts and memory at every
 // retirement.
 func TestUopDifferentialRandom(t *testing.T) {
+	randomStreams(func(code []byte, regs [x86.NumRegs]uint32) {
+		mu := diffMachine(t, code, false, regs)
+		ml := diffMachine(t, code, true, regs)
+		stepDiff(t, "random", mu, ml, 300)
+	})
+}
+
+// randomStreams calls visit with 400 fixed-seed random byte streams and
+// start registers.
+func randomStreams(visit func(code []byte, regs [x86.NumRegs]uint32)) {
 	rng := rand.New(rand.NewSource(0x5EC0DE))
 	const rounds = 400
 	for round := 0; round < rounds; round++ {
@@ -104,9 +114,7 @@ func TestUopDifferentialRandom(t *testing.T) {
 			}
 		}
 		regs[x86.ESP] = 0x8000 + 2048
-		mu := diffMachine(t, code, false, regs)
-		ml := diffMachine(t, code, true, regs)
-		stepDiff(t, "random", mu, ml, 300)
+		visit(code, regs)
 	}
 }
 

@@ -29,19 +29,48 @@ func TestUopDispatchCompleteness(t *testing.T) {
 		form x86.Form
 	}
 	seen := map[key][]byte{}
+	sweepDecodable(func(enc []byte, in *x86.Inst) {
+		k := key{in.Op, in.Form}
+		if _, ok := seen[k]; !ok {
+			seen[k] = append([]byte(nil), enc...)
+		}
+	})
+	if len(seen) == 0 {
+		t.Fatal("enumeration decoded nothing")
+	}
+	t.Logf("decoder emits %d distinct (Op, Form) pairs", len(seen))
+
+	for k, enc := range seen {
+		var in x86.Inst
+		if err := x86.DecodeInto(&in, enc); err != nil {
+			t.Fatalf("re-decode of saved encoding % x failed: %v", enc, err)
+		}
+		var u x86.Uop
+		in.Bind(&u)
+		if u.H == x86.UInvalid || u.H >= x86.NumUopHandlers {
+			t.Errorf("(op=%v form=%v) binds out of range: H=%d", k.op, k.form, u.H)
+			continue
+		}
+		if u.H == x86.UUD {
+			checkUDParity(t, k.op, k.form, enc)
+		}
+	}
+}
+
+// sweepDecodable calls visit for every encoding in the decoder's reachable
+// opcode space that decodes: every operand-size/REP prefix crossed with
+// every one- and two-byte opcode and every ModRM byte, zero-padded to
+// MaxInstLen. enc is reused between calls.
+func sweepDecodable(visit func(enc []byte, in *x86.Inst)) {
 	var buf [x86.MaxInstLen]byte
+	var in x86.Inst
 	try := func(enc ...byte) {
 		n := copy(buf[:], enc)
 		for i := n; i < len(buf); i++ {
 			buf[i] = 0
 		}
-		var in x86.Inst
-		if err := x86.DecodeInto(&in, buf[:]); err != nil {
-			return
-		}
-		k := key{in.Op, in.Form}
-		if _, ok := seen[k]; !ok {
-			seen[k] = append([]byte(nil), buf[:]...)
+		if x86.DecodeInto(&in, buf[:]) == nil {
+			visit(buf[:], &in)
 		}
 	}
 	prefixes := []byte{0x00, 0x66, 0xF3, 0xF2} // 0x00 = no prefix marker
@@ -66,26 +95,6 @@ func TestUopDispatchCompleteness(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("enumeration decoded nothing")
-	}
-	t.Logf("decoder emits %d distinct (Op, Form) pairs", len(seen))
-
-	for k, enc := range seen {
-		var in x86.Inst
-		if err := x86.DecodeInto(&in, enc); err != nil {
-			t.Fatalf("re-decode of saved encoding % x failed: %v", enc, err)
-		}
-		var u x86.Uop
-		in.Bind(&u)
-		if u.H == x86.UInvalid || u.H >= x86.NumUopHandlers {
-			t.Errorf("(op=%v form=%v) binds out of range: H=%d", k.op, k.form, u.H)
-			continue
-		}
-		if u.H == x86.UUD {
-			checkUDParity(t, k.op, k.form, enc)
 		}
 	}
 }
