@@ -261,7 +261,7 @@ func BenchmarkAblationCodegenStyle(b *testing.B) {
 			}
 			if i == 0 {
 				b.Logf("%s: %d branch targets, %d bits, BRK=%d of %d activated",
-					variant.name, len(targets), inject.TotalBits(targets),
+					variant.name, len(targets), stats.Total,
 					stats.Counts[classify.OutcomeBRK], stats.Activated())
 			}
 		}

@@ -143,11 +143,10 @@ func run() error {
 			return err
 		}
 		fmt.Println("== §5.4 permanent window of vulnerability (ftpd, Client1) ==")
+		ex := res.Experiment
+		b := ex.ModelIdx / 8 // a bitflip index is 8·byte+bit
 		fmt.Printf("corruption: %s at %#x, byte %d bit %d (%#02x -> %#02x)\n",
-			res.Experiment.Target.Func,
-			res.Experiment.Target.Addr, res.Experiment.ByteIdx, res.Experiment.Bit,
-			res.Experiment.Target.Raw[res.Experiment.ByteIdx],
-			res.Experiment.CorruptedBytes()[res.Experiment.ByteIdx])
+			ex.Target.Func, ex.Target.Addr, b, ex.ModelIdx%8, ex.Target.Raw[b], ex.CorruptedBytes()[b])
 		for i, g := range res.GrantedPerConnection {
 			fmt.Printf("connection %d: unauthorized login granted=%v\n", i+1, g)
 		}

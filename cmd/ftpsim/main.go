@@ -107,7 +107,10 @@ func corruptedText(app *target.App, spec string) ([]byte, error) {
 			idx, len(inFunc), parts[0])
 	}
 	tgt := inFunc[idx]
-	ex := inject.Experiment{Target: tgt, ByteIdx: byteIdx, Bit: bit, Scheme: encoding.SchemeX86}
+	if byteIdx < 0 || byteIdx >= len(tgt.Raw) || bit < 0 || bit > 7 {
+		return nil, fmt.Errorf("corrupt spec: byte %d bit %d outside the %d-byte instruction", byteIdx, bit, len(tgt.Raw))
+	}
+	ex := inject.BitFlip(tgt, byteIdx, bit, encoding.SchemeX86)
 	text := make([]byte, len(app.Image.Text))
 	copy(text, app.Image.Text)
 	copy(text[tgt.Addr-app.Image.TextBase:], ex.CorruptedBytes())

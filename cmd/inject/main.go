@@ -5,8 +5,11 @@
 //
 // Usage:
 //
-//	inject -app ftpd -scenario Client1 -func pass -index 0 -byte 0 -bit 0
+//	inject -app ftpd -scenario Client1 -func pass -index 0 -model bitflip -mut 0
 //	inject -app ftpd -scenario Client1 -list          # list branch targets
+//
+// -scheme and -model take the registry names campaigns use; -mut is the
+// model-local mutation index journals record (bitflip's is 8·byte+bit).
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 
 	"faultsec/internal/disasm"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
 	"faultsec/internal/x86"
@@ -40,15 +44,29 @@ func run() error {
 		scenario = flag.String("scenario", "Client1", "client access pattern")
 		funcName = flag.String("func", "", "restrict to this auth function")
 		index    = flag.Int("index", 0, "branch-instruction index within the target set")
-		byteIdx  = flag.Int("byte", 0, "byte within the instruction")
-		bit      = flag.Int("bit", 0, "bit within the byte")
-		parity   = flag.Bool("parity", false, "use the new (parity) encoding")
+		scheme   = flag.String("scheme", "x86", "encoding scheme: "+strings.Join(encoding.Names(), ", "))
+		model    = flag.String("model", "bitflip", "fault model: "+strings.Join(faultmodel.Names(), ", "))
+		mutIdx   = flag.Int("mut", 0, "mutation index within the target under the model (bitflip: 8*byte+bit)")
 		list     = flag.Bool("list", false, "list injection targets and exit")
 		trace    = flag.Int("trace", 0, "print up to N instructions executed after activation")
 	)
 	flag.Parse()
 
-	app, err := target.Build(*appName)
+	base, err := target.Build(*appName)
+	if err != nil {
+		return err
+	}
+	sch, err := encoding.Parse(*scheme)
+	if err != nil {
+		return err
+	}
+	// Compile-time schemes rebuild the app; its targets are the hardened
+	// image's.
+	app, err := base.ForScheme(sch)
+	if err != nil {
+		return err
+	}
+	m, err := faultmodel.Get(*model)
 	if err != nil {
 		return err
 	}
@@ -82,22 +100,28 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("app %s has no scenario %q", app.Name, *scenario)
 	}
-	scheme := encoding.SchemeX86
-	if *parity {
-		scheme = encoding.SchemeParity
+	if n := m.Count(tgt); *mutIdx < 0 || *mutIdx >= n {
+		return fmt.Errorf("%s mutation %d out of range (0..%d at this target)", m.Name(), *mutIdx, n-1)
 	}
-	ex := inject.Experiment{Target: tgt, ByteIdx: *byteIdx, Bit: *bit, Scheme: scheme}
+	ex := faultmodel.Experiment(m, tgt, *mutIdx, sch)
+	mut := ex.Mutation()
 
 	fmt.Printf("target:    %s at %#x: %s  (bytes % x)\n", tgt.Func, tgt.Addr,
 		disasm.Format(&tgt.Inst, tgt.Addr), tgt.Raw)
-	corrupted := ex.CorruptedBytes()
-	fmt.Printf("corrupted: % x", corrupted)
-	if in, derr := x86.Decode(corrupted); derr == nil {
-		fmt.Printf("  (%s)", disasm.Format(&in, tgt.Addr))
-	} else {
-		fmt.Printf("  (illegal instruction)")
+	switch mut.Kind {
+	case inject.MutSkip:
+		fmt.Printf("mutation:  skip %d bytes\n", mut.SkipLen)
+	case inject.MutReg:
+		fmt.Printf("mutation:  %s ^= %#x\n", x86.RegName(mut.Reg, 4), mut.RegXor)
+	default:
+		fmt.Printf("corrupted: % x", mut.Bytes)
+		if in, derr := x86.Decode(mut.Bytes); derr == nil {
+			fmt.Printf("  (%s)", disasm.Format(&in, tgt.Addr))
+		} else {
+			fmt.Printf("  (illegal instruction)")
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 
 	golden, err := inject.GoldenRun(app, sc, 0)
 	if err != nil {
@@ -113,7 +137,6 @@ func run() error {
 	if *trace > 0 {
 		observe = tr.Recorder(session.ActivationSteps, *trace)
 	}
-	mut := ex.Mutation()
 	end, window, err := inject.Execute(session, &tgt, &mut, observe)
 	if err != nil {
 		return err

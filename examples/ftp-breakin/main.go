@@ -47,7 +47,7 @@ func main() {
 			continue
 		}
 		// The negation bit: bit 0 of the opcode byte (je=0x74 vs jne=0x75).
-		ex := inject.Experiment{Target: t, ByteIdx: 0, Bit: 0, Scheme: encoding.SchemeX86}
+		ex := inject.BitFlip(t, 0, 0, encoding.SchemeX86)
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			log.Fatal(err)

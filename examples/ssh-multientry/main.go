@@ -44,7 +44,7 @@ func main() {
 		if t.Func != "do_authentication" || t.Inst.Op != x86.OpJcc {
 			continue
 		}
-		ex := inject.Experiment{Target: t, ByteIdx: 0, Bit: 0, Scheme: encoding.SchemeX86}
+		ex := inject.BitFlip(t, 0, 0, encoding.SchemeX86)
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			log.Fatal(err)

@@ -50,7 +50,7 @@ func BenchmarkEngineNaiveFTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exps := inject.Enumerate(targets, encoding.SchemeX86)
+	exps := bitflips(b, targets, encoding.SchemeX86)
 	cfg := inject.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86}
 	benchCampaign(b, func(ctx context.Context) (*inject.Stats, error) {
 		return inject.RunExperimentsNaive(ctx, cfg, exps)

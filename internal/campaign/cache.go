@@ -108,17 +108,6 @@ type cacheEntry struct {
 	Counts  map[string]int `json:"counts"`
 }
 
-// localIndex maps an experiment to its model-local mutation index within
-// its target — the position of its WireResult in a cacheEntry. Bitflip
-// carries the index as (ByteIdx, Bit) with bit-within-byte minor order
-// (inject.Enumerate's order); every other model carries ModelIdx.
-func localIndex(ex inject.Experiment) int {
-	if ex.Model != "" {
-		return ex.ModelIdx
-	}
-	return ex.ByteIdx*8 + ex.Bit
-}
-
 // classRef is the key material of one class of one target group: the
 // content address plus the ascending local mutation indices the entry
 // covers.
@@ -216,7 +205,7 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 		}
 		ct := &cacheTarget{count: count, byLi: make([]int, count)}
 		for _, idx := range indices {
-			ct.byLi[localIndex(exps[idx])] = idx
+			ct.byLi[exps[idx].ModelIdx] = idx
 		}
 		// Partition the local range by the escape analysis: each class gets
 		// its own entry so one escaping mutation does not drag the rest of
@@ -253,7 +242,7 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 func coversRange(exps []inject.Experiment, indices []int, count int) bool {
 	seen := make([]bool, count)
 	for _, idx := range indices {
-		li := localIndex(exps[idx])
+		li := exps[idx].ModelIdx
 		if li < 0 || li >= count || seen[li] {
 			return false
 		}
@@ -561,7 +550,7 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
 		}
 		var mine, rest []int
 		for _, idx := range rem {
-			if _, member := pos[localIndex(exps[idx])]; member {
+			if _, member := pos[exps[idx].ModelIdx]; member {
 				mine = append(mine, idx)
 			} else {
 				rest = append(rest, idx)
@@ -582,7 +571,7 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
 		}
 		v.count(CacheCounters{CacheHits: int64(len(mine))})
 		for _, idx := range mine {
-			adopt(idx, ent.Results[pos[localIndex(exps[idx])]].ToResult(exps[idx]))
+			adopt(idx, ent.Results[pos[exps[idx].ModelIdx]].ToResult(exps[idx]))
 		}
 		rem = rest
 	}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 
 	"faultsec/internal/classify"
+	"faultsec/internal/disasm"
 	"faultsec/internal/inject"
 	"faultsec/internal/kernel"
+	"faultsec/internal/target"
 	"faultsec/internal/vm"
 	"faultsec/internal/x86"
 )
@@ -31,7 +33,9 @@ import (
 // target on, fully overwrite before reading them again, or never read
 // again? A register fault into such a dead register cannot change the run:
 // it is the golden session from its activation on, and is recorded as such
-// without interpreting anything.
+// without interpreting anything. The replay logs each step's register
+// use/def from the first such retirement on, and one backward pass over
+// the log answers every target.
 
 // errConverged ends an injected run that has rejoined the golden shadow.
 var errConverged = errors.New("campaign: run rejoined the fault-free shadow")
@@ -61,40 +65,48 @@ type shadow struct {
 	// retired maps each target address to the step count just after the
 	// session's last retirement of it (0: never retired).
 	retired map[uint32]uint64
-	// live holds the liveness query of every target with a register-fault
-	// experiment.
+	// live holds the register liveness of every target with a
+	// register-fault experiment.
 	live map[uint32]*liveness
 }
 
-// liveness is one target's register-liveness query: it opens at the
-// session's first retirement of the target and decides each register at
-// the register's next event there or after. The first read makes it live;
-// the first full write, or the end of the session, makes it dead.
+// liveness is one target's register liveness at the session's first
+// retirement of it: a register is dead there if the session fully writes
+// it before reading it again, or never reads it again.
 type liveness struct {
-	opened bool
-	at     uint64      // step count at the opening retirement
-	live   x86.RegMask // registers decided live
-	undec  x86.RegMask // registers still undecided
+	opened   bool        // the session retires the target
+	at       uint64      // step count at the first retirement
+	deadRegs x86.RegMask // registers dead there
 }
 
 // dead returns the registers a fault at the target's activation, step
-// count at, cannot affect. An activation at another step than the query's
-// is a determinism violation.
+// count at, cannot affect. An activation at another step than the
+// shadow's first retirement is a determinism violation.
 func (q *liveness) dead(at uint64) (x86.RegMask, error) {
 	if !q.opened || q.at != at {
 		return 0, fmt.Errorf("campaign: %w: the golden shadow first retires the target at step %d (reached %v), the sweep at %d",
 			errShadowDiverged, q.at, q.opened, at)
 	}
-	return ^q.live, nil
+	return q.deadRegs, nil
 }
 
-// event decides the undecided registers an instruction reads (live) or
-// writes (dead); a register both read and written is read first. It
-// reports whether any register is still undecided.
-func (q *liveness) event(reads, writes x86.RegMask) bool {
-	q.live |= q.undec & reads
-	q.undec &^= reads | writes
-	return q.undec != 0
+// useDef is one instruction's register reads and writes (x86.RegUseDef).
+type useDef struct{ reads, writes x86.RegMask }
+
+// useDefTable maps every valid instruction start of the app's pristine
+// text, the control-flow watchdog's linear-sweep signature set, to the
+// instruction's register use/def.
+func useDefTable(app *target.App) map[uint32]useDef {
+	img := app.Image
+	entries := disasm.Sweep(img.Text, img.TextBase, 0, uint32(len(img.Text)))
+	out := make(map[uint32]useDef, len(entries))
+	for i := range entries {
+		if !entries[i].Bad {
+			r, w := x86.RegUseDef(&entries[i].Inst)
+			out[entries[i].Addr] = useDef{r, w}
+		}
+	}
+	return out
 }
 
 func (sh *shadow) Syscall(m *vm.Machine) error {
@@ -106,14 +118,14 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // machine whose dirty tracking is armed at load, so every checkpoint holds
 // exactly the pages the session wrote since load. Two guards make the
 // replay prove what a persistent fault needs: text is mapped execute-only,
-// so a session that reads its own text faults, and every fetch must start
+// so a session that reads its own text faults, and every step must start
 // a valid instruction, so a session that jumps mid-instruction faults. A
 // replay that does not end exactly like the golden run returns an error
 // wrapping errShadowDiverged.
 //
-// For every group with a register-fault experiment the replay also runs a
-// liveness query; only while one is open does it decode each instruction
-// before stepping it.
+// One lookup per step in the use/def table serves as that second guard
+// and, from the first retirement of a register-fault target on, as the
+// step's entry in the use/def log the liveness pass reads.
 func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment, groups []group,
 	fuel uint64) (*shadow, error) {
 	client := e.cfg.Scenario.New()
@@ -136,7 +148,7 @@ func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment,
 			r.Perm = vm.PermExec
 		}
 	}
-	m.CFValid = inject.ValidInstructionStarts(e.cfg.App)
+	table := useDefTable(e.cfg.App)
 
 	for i := range groups {
 		sh.retired[groups[i].addr] = 0
@@ -148,30 +160,27 @@ func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment,
 		}
 	}
 	var (
-		open   []*liveness // queries with undecided registers
-		in     x86.Inst
+		log    []useDef // each step's use/def from step from on; nil before
+		from   uint64
 		endErr error
 	)
 	for endErr == nil {
+		ud, ok := table[m.EIP]
+		if !ok {
+			endErr = &vm.Fault{Kind: vm.FaultCFE, Addr: m.EIP, PC: m.EIP}
+			break
+		}
 		if _, ok := sh.retired[m.EIP]; ok {
 			sh.retired[m.EIP] = m.Steps + 1
 			if q := sh.live[m.EIP]; q != nil && !q.opened {
-				q.opened, q.at, q.undec = true, m.Steps, x86.AllRegs
-				open = append(open, q)
-			}
-		}
-		if len(open) > 0 {
-			reads, writes := x86.AllRegs, x86.RegMask(0)
-			if code, f := m.Mem.Fetch(m.EIP, x86.MaxInstLen); f == nil && x86.DecodeInto(&in, code) == nil {
-				reads, writes = x86.RegUseDef(&in)
-			}
-			kept := open[:0]
-			for _, q := range open {
-				if q.event(reads, writes) {
-					kept = append(kept, q)
+				q.opened, q.at = true, m.Steps
+				if log == nil {
+					from, log = m.Steps, make([]useDef, 0, golden.Steps)
 				}
 			}
-			open = kept
+		}
+		if log != nil {
+			log = append(log, ud)
 		}
 		endErr = m.Step()
 	}
@@ -182,6 +191,21 @@ func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment,
 			errShadowDiverged, endErr, m.Steps, golden.ExitCode, golden.Steps)
 	}
 	sh.k = nil
+
+	// Backward pass: a register is live before a step that reads it, or
+	// that leaves it unwritten while it is live after; nothing is live
+	// after the session's end.
+	liveBefore := make([]x86.RegMask, len(log))
+	var live x86.RegMask
+	for k := len(log) - 1; k >= 0; k-- {
+		live = log[k].reads | live&^log[k].writes
+		liveBefore[k] = live
+	}
+	for _, q := range sh.live {
+		if q.opened {
+			q.deadRegs = ^liveBefore[q.at-from]
+		}
+	}
 	return sh, nil
 }
 

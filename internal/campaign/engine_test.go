@@ -13,6 +13,7 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/ftpd"
 	"faultsec/internal/inject"
 	"faultsec/internal/sshd"
@@ -32,13 +33,23 @@ func ftpClient1(t testing.TB) (*target.App, target.Scenario) {
 	return app, sc
 }
 
+// bitflips is the paper's experiment list over targets under scheme.
+func bitflips(t testing.TB, targets []inject.Target, scheme encoding.Scheme) []inject.Experiment {
+	t.Helper()
+	m, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultmodel.Enumerate(targets, scheme, m)
+}
+
 func naiveStats(t *testing.T, app *target.App, sc target.Scenario, scheme encoding.Scheme) *inject.Stats {
 	t.Helper()
 	targets, err := inject.Targets(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := inject.Enumerate(targets, scheme)
+	exps := bitflips(t, targets, scheme)
 	stats, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
 		App: app, Scenario: sc, Scheme: scheme, KeepResults: true,
 	}, exps)
@@ -314,7 +325,7 @@ func TestSnapshotFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps := inject.Enumerate(targets, encoding.SchemeX86)
+		exps := bitflips(t, targets, encoding.SchemeX86)
 		golden, err := inject.GoldenRun(app, sc, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -348,8 +359,8 @@ func TestSnapshotFidelity(t *testing.T) {
 				crashes++
 			}
 			if !reflect.DeepEqual(want, got.Results[i]) {
-				t.Errorf("%s %s@%#x byte %d bit %d: snapshot run %+v != from-scratch %+v",
-					app.Name, ex.Target.Func, ex.Target.Addr, ex.ByteIdx, ex.Bit,
+				t.Errorf("%s %s@%#x bitflip %d: snapshot run %+v != from-scratch %+v",
+					app.Name, ex.Target.Func, ex.Target.Addr, ex.ModelIdx,
 					got.Results[i], want)
 			}
 		}

@@ -31,7 +31,7 @@ func fakeCampaign(t testing.TB, n int, journal bool) (*Config, []inject.Experime
 	}
 	exps := make([]inject.Experiment, n)
 	for i := range exps {
-		exps[i] = inject.Experiment{Target: inject.Target{Addr: uint32(0x1000 + 16*(i/8))}, Bit: i % 8}
+		exps[i] = inject.Experiment{Target: inject.Target{Addr: uint32(0x1000 + 16*(i/8))}, Model: "bitflip", ModelIdx: i % 8}
 	}
 	return cfg, exps
 }

@@ -78,8 +78,8 @@ func TestModelDifferentialFTPClient1(t *testing.T) {
 }
 
 // TestBitflipModelByteIdentity pins the wire-compatibility acceptance
-// criterion: Model "" and Model "bitflip" are the same campaign — same
-// enumeration as the pre-fault-model inject.Enumerate, and byte-identical
+// criterion: Model "" and Model "bitflip" are the same campaign — the
+// paper's experiments in (target, byte, bit) order, and byte-identical
 // engine Stats (Results and CrashLatencies order included). Together with
 // TestDifferentialFTPClient1 (engine == naive for the zero model) and the
 // bitflip case of TestModelDifferentialFTPClient1 (engine == naive under
@@ -108,12 +108,19 @@ func TestBitflipModelByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preModel := inject.Enumerate(targets, encoding.SchemeX86)
-	if !reflect.DeepEqual(legacyExps, preModel) {
-		t.Fatal(`EnumerateConfig(Model "") differs from inject.Enumerate`)
+	var paper []inject.Experiment
+	for _, tg := range targets {
+		for b := range tg.Raw {
+			for bit := 0; bit < 8; bit++ {
+				paper = append(paper, inject.BitFlip(tg, b, bit, encoding.SchemeX86))
+			}
+		}
 	}
-	if !reflect.DeepEqual(namedExps, preModel) {
-		t.Fatal(`EnumerateConfig(Model "bitflip") differs from inject.Enumerate`)
+	if !reflect.DeepEqual(legacyExps, paper) {
+		t.Fatal(`EnumerateConfig(Model "") differs from the paper's (target, byte, bit) experiments`)
+	}
+	if !reflect.DeepEqual(namedExps, paper) {
+		t.Fatal(`EnumerateConfig(Model "bitflip") differs from the paper's (target, byte, bit) experiments`)
 	}
 
 	legacyStats, err := campaign.New(legacy).Run(context.Background())

@@ -94,11 +94,6 @@ func (j *Journal) Close(done int, counts map[string]int) error {
 	return j.w.close(done, counts)
 }
 
-// Abort releases the journal without a final checkpoint (the error-path
-// counterpart of Close). When this journal created the file and no runs
-// were appended, the header-only orphan is removed.
-func (j *Journal) Abort() error { return j.w.abort() }
-
 // ReplayJournal reads the journal at cfg.Journal and returns the recorded
 // results keyed by global experiment index, rehydrated against exps (the
 // campaign's full deterministic enumeration). The journal header must

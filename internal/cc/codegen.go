@@ -115,11 +115,6 @@ type gen struct {
 	trapUsed bool
 }
 
-// Generate emits assembly for a parsed program with default options.
-func Generate(prog *Program) (string, error) {
-	return GenerateWithOptions(prog, Options{})
-}
-
 // GenerateWithOptions emits assembly for a parsed program.
 func GenerateWithOptions(prog *Program, opts Options) (string, error) {
 	g := &gen{

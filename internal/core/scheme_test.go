@@ -46,6 +46,10 @@ func TestSchemeMatrixDifferentialPin(t *testing.T) {
 		{encoding.SchemeParity, s.SSHD},
 		{encoding.SchemeParity, s.HTTPD},
 	}
+	bitflip, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, row := range rows {
 		name := encoding.SchemeName(row.scheme) + "/" + row.app.Name
 		// Snapshot path: the Study entry point that predates the registry.
@@ -64,7 +68,7 @@ func TestSchemeMatrixDifferentialPin(t *testing.T) {
 		}
 		naive, err := inject.RunExperimentsNaive(ctx,
 			inject.Config{App: row.app, Scenario: sc, Scheme: row.scheme},
-			inject.Enumerate(targets, row.scheme))
+			faultmodel.Enumerate(targets, row.scheme, bitflip))
 		if err != nil {
 			t.Fatal(err)
 		}

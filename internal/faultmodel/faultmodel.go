@@ -12,17 +12,16 @@
 //   - Count(t) is a pure function of the target (no global state, no
 //     randomness), so every process — engine, fleet worker, journal
 //     resume — derives the same per-target experiment count.
-//   - Mutation(t, i) is pure for 0 <= i < Count(t), so experiment index i
-//     means the same injection everywhere, forever. The campaign-global
-//     index space (the one journals and fleet shard specs key into) is
-//     the concatenation of per-target index ranges in target-enumeration
-//     (address) order.
+//   - Mutation(t, i, scheme) is pure for 0 <= i < Count(t), so
+//     experiment index i means the same injection everywhere, forever.
+//     The campaign-global index space (the one journals and fleet shard
+//     specs key into) is the concatenation of per-target index ranges in
+//     target-enumeration (address) order.
 //
-// The "bitflip" model delegates to inject.Enumerate and therefore
-// reproduces the pre-fault-model experiment tree byte for byte: existing
-// journals (whose headers predate the model field) replay under it
-// unchanged, and its campaign Stats are byte-identical to the original
-// engine's.
+// The scheme is the campaign's encoding scheme. Only bitflip reads it: its
+// flip is mapped through the scheme's re-encoding (inject.BitFlip, paper
+// §6.2). Bitflip's index is 8·byte+bit, the index journals written before
+// fault models existed already keyed on, so they replay under it unchanged.
 package faultmodel
 
 import (
@@ -48,10 +47,10 @@ type Model interface {
 	// Count returns the number of mutations this model derives from one
 	// target instruction. It must be a pure function of the target.
 	Count(t inject.Target) int
-	// Mutation returns the i-th mutation for the target, 0 <= i <
-	// Count(t). It must be pure: the same (target, i) yields the same
-	// mutation in every process.
-	Mutation(t inject.Target, i int) Mutation
+	// Mutation returns the i-th mutation for the target under the
+	// campaign's encoding scheme, 0 <= i < Count(t). It must be pure: the
+	// same (target, i, scheme) yields the same mutation in every process.
+	Mutation(t inject.Target, i int, scheme encoding.Scheme) Mutation
 }
 
 var (
@@ -116,40 +115,22 @@ func Names() []string {
 // Enumerate lists every experiment for the target set under the given
 // scheme and model, in the deterministic campaign-tree order: targets in
 // address-enumeration order, mutation indices ascending within each
-// target. This order is the campaign's global index space — the one
-// journals record, fleet shards lease, and Resume replays — for every
-// model, exactly as inject.Enumerate's order is for bitflip.
+// target. This order is the campaign's global index space, the one
+// journals record, fleet shards lease, and Resume replays.
 func Enumerate(targets []inject.Target, scheme encoding.Scheme, m Model) []inject.Experiment {
-	if m.Name() == "bitflip" {
-		// The paper's model keeps its original enumeration (and its
-		// original Experiment values: Model "", mutation derived from
-		// ByteIdx/Bit/Scheme) so pre-fault-model journals and Stats stay
-		// byte-identical.
-		return inject.Enumerate(targets, scheme)
-	}
-	total := 0
+	out := make([]inject.Experiment, 0, Total(targets, m))
 	for _, t := range targets {
-		total += m.Count(t)
-	}
-	out := make([]inject.Experiment, 0, total)
-	for _, t := range targets {
-		n := m.Count(t)
-		for i := 0; i < n; i++ {
-			mut := m.Mutation(t, i)
-			out = append(out, inject.Experiment{
-				Target: t,
-				// ByteIdx/Bit describe the primary corrupted byte for
-				// byte-span mutations (diagnostics; Location attribution
-				// uses the span itself).
-				ByteIdx:  mut.SpanStart,
-				Scheme:   scheme,
-				Model:    m.Name(),
-				ModelIdx: i,
-				Mut:      mut,
-			})
+		for i, n := 0, m.Count(t); i < n; i++ {
+			out = append(out, Experiment(m, t, i, scheme))
 		}
 	}
 	return out
+}
+
+// Experiment returns model m's experiment i at target t under scheme,
+// 0 <= i < m.Count(t): the one Enumerate lists at that index.
+func Experiment(m Model, t inject.Target, i int, scheme encoding.Scheme) inject.Experiment {
+	return inject.Experiment{Target: t, Model: m.Name(), ModelIdx: i, Mut: m.Mutation(t, i, scheme)}
 }
 
 // Total returns the experiment count of a target set under a model — the

@@ -1,6 +1,7 @@
 package faultmodel_test
 
 import (
+	"bytes"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -10,7 +11,10 @@ import (
 	"faultsec/internal/encoding"
 	"faultsec/internal/faultmodel"
 	"faultsec/internal/ftpd"
+	"faultsec/internal/httpd"
 	"faultsec/internal/inject"
+	"faultsec/internal/sshd"
+	"faultsec/internal/target"
 	"faultsec/internal/x86"
 )
 
@@ -65,30 +69,61 @@ func TestRegistryResolution(t *testing.T) {
 	}
 }
 
-// TestBitflipEnumerationIsPreFaultModelTree pins the wire-compatibility
-// cornerstone: the bitflip model's enumeration is inject.Enumerate's,
-// value for value — Model "" and a zero Mutation, exactly the Experiment
-// values that existed before fault models did.
-func TestBitflipEnumerationIsPreFaultModelTree(t *testing.T) {
-	targets := ftpTargets(t)
-	m, err := faultmodel.Get("bitflip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []encoding.Scheme{encoding.SchemeX86, encoding.SchemeParity} {
-		got := faultmodel.Enumerate(targets, scheme, m)
-		want := inject.Enumerate(targets, scheme)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scheme %v: faultmodel.Enumerate(bitflip) differs from inject.Enumerate", scheme)
+// TestEnumerationIndexMeaning pins what a campaign-global index means, the
+// invariant journals, fleet shards and the result cache rest on: for
+// every registered model under x86 and parity, over the ftpd, sshd and
+// httpd targets, Enumerate lists target-major, index-ascending
+// experiments whose mutation is the registry's Mutation(t, i, scheme).
+// Bitflip's index i must also be the paper's flip of byte i/8, bit i%8,
+// through the scheme's re-encoding.
+func TestEnumerationIndexMeaning(t *testing.T) {
+	var targets []inject.Target
+	for _, build := range []func() (*target.App, error){ftpd.Build, sshd.Build, httpd.Build} {
+		app, err := build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, ex := range got {
-			if ex.Model != "" || ex.ModelIdx != 0 || !reflect.DeepEqual(ex.Mut, inject.Mutation{}) {
-				t.Fatalf("scheme %v exp %d: bitflip experiment carries model state: %+v", scheme, i, ex)
+		ts, err := inject.Targets(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, ts...)
+	}
+	for _, name := range faultmodel.Names() {
+		m, err := faultmodel.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []encoding.Scheme{encoding.SchemeX86, encoding.SchemeParity} {
+			exps := faultmodel.Enumerate(targets, scheme, m)
+			if len(exps) != faultmodel.Total(targets, m) {
+				t.Fatalf("%s/%s: %d experiments, Total %d", name, scheme.Name(), len(exps), faultmodel.Total(targets, m))
+			}
+			k := 0
+			for _, tg := range targets {
+				for i := 0; i < m.Count(tg); i++ {
+					ex := exps[k]
+					k++
+					if ex.Target.Addr != tg.Addr || ex.Model != name || ex.ModelIdx != i {
+						t.Fatalf("%s/%s exp %d: (%#x, %q, %d), want (%#x, %q, %d)", name, scheme.Name(), k-1,
+							ex.Target.Addr, ex.Model, ex.ModelIdx, tg.Addr, name, i)
+					}
+					if want := m.Mutation(tg, i, scheme); !reflect.DeepEqual(ex.Mut, want) {
+						t.Fatalf("%s/%s at %#x index %d: Mut %+v, registry Mutation %+v",
+							name, scheme.Name(), tg.Addr, i, ex.Mut, want)
+					}
+					if name == "bitflip" {
+						if want := encoding.Corrupt(tg.Raw, i/8, i%8, scheme); !bytes.Equal(ex.Mut.Bytes, want) {
+							t.Fatalf("bitflip/%s at %#x index %d: bytes % x, encoding.Corrupt % x",
+								scheme.Name(), tg.Addr, i, ex.Mut.Bytes, want)
+						}
+						if ex.Location() != classify.LocationOf(&tg.Inst, tg.Raw, i/8) {
+							t.Fatalf("bitflip at %#x index %d: Location %v, want byte %d's", tg.Addr, i, ex.Location(), i/8)
+						}
+					}
+				}
 			}
 		}
-	}
-	if got, want := faultmodel.Total(targets, m), inject.TotalBits(targets); got != want {
-		t.Errorf("Total(bitflip) = %d, want TotalBits %d", got, want)
 	}
 }
 
@@ -143,8 +178,8 @@ func TestModelCountArithmetic(t *testing.T) {
 }
 
 // TestMutationsDeterministicAndPure is the registry's core contract:
-// Mutation(t, i) is a pure function — two calls agree value for value —
-// and never mutates or aliases the target's pristine bytes.
+// Mutation(t, i, scheme) is a pure function — two calls agree value for
+// value — and never mutates or aliases the target's pristine bytes.
 func TestMutationsDeterministicAndPure(t *testing.T) {
 	targets := ftpTargets(t)
 	for _, name := range faultmodel.Names() {
@@ -155,7 +190,7 @@ func TestMutationsDeterministicAndPure(t *testing.T) {
 		for _, tg := range targets {
 			pristine := append([]byte(nil), tg.Raw...)
 			for i := 0; i < m.Count(tg); i++ {
-				a, b := m.Mutation(tg, i), m.Mutation(tg, i)
+				a, b := m.Mutation(tg, i, encoding.SchemeParity), m.Mutation(tg, i, encoding.SchemeParity)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s: Mutation(%#x, %d) is not deterministic", name, tg.Addr, i)
 				}
@@ -194,7 +229,7 @@ func TestDoublebitMasksDistinct(t *testing.T) {
 	}
 	seen := make(map[byte]bool)
 	for i := 0; i < 28; i++ {
-		mask := m.Mutation(tg, i).Bytes[0]
+		mask := m.Mutation(tg, i, encoding.SchemeX86).Bytes[0]
 		if bits.OnesCount8(mask) != 2 {
 			t.Errorf("mutation %d: mask %#02x has weight %d, want 2", i, mask, bits.OnesCount8(mask))
 		}
@@ -220,14 +255,14 @@ func TestCmpskipInvertsConditionByte(t *testing.T) {
 	if n := m.Count(jmp); n != 0 {
 		t.Errorf("Count(unconditional jmp) = %d, want 0", n)
 	}
-	mut := m.Mutation(jcc8, 0)
+	mut := m.Mutation(jcc8, 0, encoding.SchemeX86)
 	if got := mut.Bytes; got[0] != 0x75 || got[1] != 0x06 {
 		t.Errorf("2-byte jcc inversion = %#02x %#02x, want 0x75 0x06", got[0], got[1])
 	}
 	if mut.SpanStart != 0 || mut.SpanEnd != 1 {
 		t.Errorf("2-byte jcc span = [%d,%d), want [0,1)", mut.SpanStart, mut.SpanEnd)
 	}
-	mut = m.Mutation(jcc32, 0)
+	mut = m.Mutation(jcc32, 0, encoding.SchemeX86)
 	if got := mut.Bytes; got[0] != 0x0F || got[1] != 0x85 {
 		t.Errorf("6-byte jcc inversion = %#02x %#02x, want 0x0F 0x85", got[0], got[1])
 	}
@@ -244,7 +279,7 @@ func TestInstskipCoversWholeInstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tg := range ftpTargets(t) {
-		mut := m.Mutation(tg, 0)
+		mut := m.Mutation(tg, 0, encoding.SchemeX86)
 		if mut.Kind != inject.MutSkip || mut.SkipLen != len(tg.Raw) {
 			t.Fatalf("instskip at %#x: kind=%v skip=%d, want MutSkip over %d bytes",
 				tg.Addr, mut.Kind, mut.SkipLen, len(tg.Raw))
@@ -269,8 +304,8 @@ func TestExperimentAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ex := range faultmodel.Enumerate(targets, encoding.SchemeX86, m) {
-			if got := ex.ModelName(); got != name {
-				t.Fatalf("%s: ModelName() = %q", name, got)
+			if ex.Model != name {
+				t.Fatalf("%s: Model = %q", name, ex.Model)
 			}
 			mut := ex.Mutation()
 			corrupted := ex.CorruptedBytes()
@@ -280,9 +315,6 @@ func TestExperimentAttribution(t *testing.T) {
 					t.Fatalf("%s@%#x: CorruptedBytes != Mutation().Bytes", name, ex.Target.Addr)
 				}
 				want := classify.LocationOfSpan(&ex.Target.Inst, ex.Target.Raw, mut.SpanStart, mut.SpanEnd)
-				if name == "" || ex.Model == "" {
-					want = classify.LocationOf(&ex.Target.Inst, ex.Target.Raw, ex.ByteIdx)
-				}
 				if got := ex.Location(); got != want {
 					t.Fatalf("%s@%#x span [%d,%d): Location() = %v, want %v",
 						name, ex.Target.Addr, mut.SpanStart, mut.SpanEnd, got, want)
@@ -302,17 +334,6 @@ func TestExperimentAttribution(t *testing.T) {
 					t.Fatalf("%s@%#x: register-fault Location() = %v, want MISC", name, ex.Target.Addr, got)
 				}
 			}
-		}
-	}
-	// Bitflip's derived mutation is the paper's single-byte poke.
-	exps := inject.Enumerate(targets[:1], encoding.SchemeX86)
-	for _, ex := range exps {
-		mut := ex.Mutation()
-		if mut.Kind != inject.MutBytes || mut.SpanStart != ex.ByteIdx || mut.SpanEnd != ex.ByteIdx+1 {
-			t.Fatalf("bitflip exp byte %d bit %d: mutation %+v", ex.ByteIdx, ex.Bit, mut)
-		}
-		if !reflect.DeepEqual(mut.Bytes, encoding.Corrupt(ex.Target.Raw, ex.ByteIdx, ex.Bit, ex.Scheme)) {
-			t.Fatalf("bitflip exp byte %d bit %d: Bytes != encoding.Corrupt", ex.ByteIdx, ex.Bit)
 		}
 	}
 }

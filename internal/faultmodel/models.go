@@ -1,16 +1,18 @@
 package faultmodel
 
 import (
+	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
 	"faultsec/internal/x86"
 )
 
-// The built-in models. All of them describe corruptions of the stock
-// instruction encoding; the encoding-scheme emulation (paper §6.2) applies
-// to the bitflip model's byte flips, where the scheme's re-encoding is the
-// countermeasure under evaluation. Skip and register faults bypass the
-// instruction bytes entirely, so no re-encoding can affect them — running
-// them under the parity scheme measures exactly that.
+// The built-in models. All of them but bitflip describe corruptions of the
+// stock instruction encoding and ignore the scheme; the encoding-scheme
+// emulation (paper §6.2) applies to the bitflip model's byte flips, where
+// the scheme's re-encoding is the countermeasure under evaluation. Skip and
+// register faults bypass the instruction bytes entirely, so no re-encoding
+// can affect them — running them under the parity scheme measures exactly
+// that.
 func init() {
 	Register(bitflip{})
 	Register(doublebit{})
@@ -28,22 +30,14 @@ func corrupted(raw []byte, mutate func([]byte)) []byte {
 	return out
 }
 
-// bitflip is the paper's model: flip one bit of one instruction byte.
-// Enumerate delegates to inject.Enumerate for it (the pre-fault-model
-// experiment tree, byte for byte); the Mutation method below is the same
-// corruption in registry form for direct callers.
+// bitflip is the paper's model: flip one bit of one instruction byte,
+// through the scheme's re-encoding. Index order: byte-major, bit-minor.
 type bitflip struct{}
 
 func (bitflip) Name() string              { return "bitflip" }
 func (bitflip) Count(t inject.Target) int { return t.Bits() }
-func (bitflip) Mutation(t inject.Target, i int) Mutation {
-	b, bit := i/8, i%8
-	return Mutation{
-		Kind:      inject.MutBytes,
-		Bytes:     corrupted(t.Raw, func(out []byte) { out[b] ^= 1 << bit }),
-		SpanStart: b,
-		SpanEnd:   b + 1,
-	}
+func (bitflip) Mutation(t inject.Target, i int, scheme encoding.Scheme) Mutation {
+	return inject.BitFlip(t, i/8, i%8, scheme).Mut
 }
 
 // pairs28 maps a pair index 0..27 to the 2-bit combination (lo, hi),
@@ -67,7 +61,7 @@ type doublebit struct{}
 
 func (doublebit) Name() string              { return "doublebit" }
 func (doublebit) Count(t inject.Target) int { return len(t.Raw) * len(pairs28) }
-func (doublebit) Mutation(t inject.Target, i int) Mutation {
+func (doublebit) Mutation(t inject.Target, i int, _ encoding.Scheme) Mutation {
 	b, pair := i/len(pairs28), i%len(pairs28)
 	mask := byte(1<<pairs28[pair][0] | 1<<pairs28[pair][1])
 	return Mutation{
@@ -85,7 +79,7 @@ type byteflip struct{}
 
 func (byteflip) Name() string              { return "byteflip" }
 func (byteflip) Count(t inject.Target) int { return len(t.Raw) * 2 }
-func (byteflip) Mutation(t inject.Target, i int) Mutation {
+func (byteflip) Mutation(t inject.Target, i int, _ encoding.Scheme) Mutation {
 	b, variant := i/2, i%2
 	mutate := func(out []byte) { out[b] ^= 0xFF }
 	if variant == 1 {
@@ -107,7 +101,7 @@ type instskip struct{}
 
 func (instskip) Name() string            { return "instskip" }
 func (instskip) Count(inject.Target) int { return 1 }
-func (instskip) Mutation(t inject.Target, i int) Mutation {
+func (instskip) Mutation(t inject.Target, i int, _ encoding.Scheme) Mutation {
 	return Mutation{
 		Kind:      inject.MutSkip,
 		SkipLen:   len(t.Raw),
@@ -131,7 +125,7 @@ func (cmpskip) Count(t inject.Target) int {
 	}
 	return 0
 }
-func (cmpskip) Mutation(t inject.Target, i int) Mutation {
+func (cmpskip) Mutation(t inject.Target, i int, _ encoding.Scheme) Mutation {
 	// 2-byte jcc inverts opcode byte 0; 0x0F-escaped 6-byte jcc inverts
 	// opcode byte 1.
 	b := 0
@@ -154,7 +148,7 @@ type regflip struct{}
 
 func (regflip) Name() string            { return "regflip" }
 func (regflip) Count(inject.Target) int { return int(x86.NumRegs) * 32 }
-func (regflip) Mutation(t inject.Target, i int) Mutation {
+func (regflip) Mutation(t inject.Target, i int, _ encoding.Scheme) Mutation {
 	return Mutation{
 		Kind:   inject.MutReg,
 		Reg:    uint8(i / 32),

@@ -12,7 +12,7 @@ func fakeExps(targetBits ...int) []inject.Experiment {
 	for ti, bits := range targetBits {
 		tgt := inject.Target{Addr: uint32(0x1000 + 16*ti)}
 		for b := 0; b < bits; b++ {
-			exps = append(exps, inject.Experiment{Target: tgt, Bit: b})
+			exps = append(exps, inject.Experiment{Target: tgt, Model: "bitflip", ModelIdx: b})
 		}
 	}
 	return exps

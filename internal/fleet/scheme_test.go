@@ -10,6 +10,7 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/fleet"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
@@ -113,7 +114,11 @@ func TestShardSpecCarriesSchemeName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := inject.Enumerate(targets, encoding.SchemeEncodedBranch)
+	m, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := faultmodel.Enumerate(targets, encoding.SchemeEncodedBranch, m)
 
 	lb := fleet.NewLoopback("w0", app)
 	spec := fleet.ShardSpec{

@@ -5,6 +5,7 @@ import (
 
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/httpd"
 	"faultsec/internal/inject"
 )
@@ -89,8 +90,12 @@ func TestForgedCookieBreakInExists(t *testing.T) {
 			session = append(session, tgt)
 		}
 	}
+	bitflip, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
 	brk := 0
-	for _, ex := range inject.Enumerate(session, encoding.SchemeX86) {
+	for _, ex := range faultmodel.Enumerate(session, encoding.SchemeX86, bitflip) {
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -132,8 +137,12 @@ func TestWrongPasswordBreakInExists(t *testing.T) {
 			basic = append(basic, tgt)
 		}
 	}
+	bitflip, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
 	brk := 0
-	for _, ex := range inject.Enumerate(basic, encoding.SchemeX86) {
+	for _, ex := range faultmodel.Enumerate(basic, encoding.SchemeX86, bitflip) {
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			t.Fatal(err)

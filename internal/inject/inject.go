@@ -82,16 +82,6 @@ func Targets(app *target.App) ([]Target, error) {
 	return out, nil
 }
 
-// TotalBits returns the number of experiments (one per bit) for a target
-// set — the paper's per-client run count.
-func TotalBits(targets []Target) int {
-	n := 0
-	for _, t := range targets {
-		n += t.Bits()
-	}
-	return n
-}
-
 // GoldenRun executes one fault-free session and records the golden
 // behaviour; fuel 0 means DefaultFuel. It fails if the fault-free server
 // does not exit cleanly.
@@ -163,7 +153,9 @@ type Mutation struct {
 }
 
 // Apply performs the mutation on a machine stopped at the target
-// instruction (EIP == t.Addr).
+// instruction (EIP == t.Addr). A byte replacement must cover exactly the
+// target instruction: a shorter one would leave part of it pristine, and
+// an empty one would run the fault-free session as an injection.
 func (mu *Mutation) Apply(m *vm.Machine, t *Target) error {
 	switch mu.Kind {
 	case MutSkip:
@@ -173,6 +165,10 @@ func (mu *Mutation) Apply(m *vm.Machine, t *Target) error {
 		m.SetReg(mu.Reg, m.Reg(mu.Reg)^mu.RegXor)
 		return nil
 	default:
+		if len(mu.Bytes) != len(t.Raw) {
+			return fmt.Errorf("inject: %d replacement bytes for the %d-byte instruction at %#x",
+				len(mu.Bytes), len(t.Raw), t.Addr)
+		}
 		if err := m.Mem.Poke(t.Addr, mu.Bytes); err != nil {
 			return fmt.Errorf("inject: poke: %w", err)
 		}
@@ -180,87 +176,70 @@ func (mu *Mutation) Apply(m *vm.Machine, t *Target) error {
 	}
 }
 
-// Experiment identifies one injection. The zero model ("" = the paper's
-// bitflip model) is fully described by (Target, ByteIdx, Bit, Scheme),
-// exactly as before fault models existed, so bitflip experiment values —
-// and the journal/fleet index spaces derived from their enumeration order
-// — are unchanged. Other models carry their registry name, their
-// model-local mutation index within the target, and the resolved Mutation.
+// Experiment identifies one injection: the target, the fault model's
+// registry name, the model-local mutation index within the target, and the
+// mutation that index resolves to under the campaign's scheme. Index
+// ModelIdx means the same injection in every process, which is what
+// journals, fleet shards and the result cache key on.
 type Experiment struct {
-	Target  Target
-	ByteIdx int
-	Bit     int
-	Scheme  encoding.Scheme
-
-	// Model is the fault-model name; "" means bitflip (wire-compatible
-	// with pre-fault-model enumerations and journals).
+	Target Target
+	// Model is the fault-model registry name ("bitflip", "regflip", ...).
 	Model string
 	// ModelIdx is the mutation index within the target under Model
-	// (0 <= ModelIdx < Count(Target)). Bitflip experiments leave it zero
-	// and carry the equivalent index as (ByteIdx, Bit).
+	// (0 <= ModelIdx < Count(Target)); for bitflip it is 8·byte+bit.
 	ModelIdx int
-	// Mut is the resolved mutation for non-bitflip models (bitflip
-	// derives its mutation from ByteIdx/Bit/Scheme on demand).
+	// Mut is the resolved mutation.
 	Mut Mutation
 }
 
-// ModelName returns the experiment's fault-model registry name,
-// canonicalizing the wire-compatible zero value to "bitflip".
-func (e Experiment) ModelName() string {
-	if e.Model == "" {
-		return "bitflip"
+// BitFlip is the paper's experiment: flip bit of byte byteIdx of the
+// target's encoding, mapped through the scheme's re-encoding (paper §6.2:
+// map to the stock encoding, flip, map back). It is the bitflip fault
+// model's one implementation.
+func BitFlip(t Target, byteIdx, bit int, scheme encoding.Scheme) Experiment {
+	return Experiment{
+		Target:   t,
+		Model:    "bitflip",
+		ModelIdx: byteIdx*8 + bit,
+		Mut: Mutation{
+			Kind:      MutBytes,
+			Bytes:     encoding.Corrupt(t.Raw, byteIdx, bit, scheme),
+			SpanStart: byteIdx,
+			SpanEnd:   byteIdx + 1,
+		},
 	}
-	return e.Model
 }
 
-// ModelOf returns the canonical fault-model name of an experiment list
-// ("bitflip" for an empty list — the zero model).
+// ModelOf returns the fault-model name of an experiment list ("bitflip"
+// for an empty list, the paper's model).
 func ModelOf(exps []Experiment) string {
 	if len(exps) == 0 {
 		return "bitflip"
 	}
-	return exps[0].ModelName()
+	return exps[0].Model
 }
 
-// CorruptedBytes returns the instruction bytes this experiment executes.
-// Valid for byte-replacement mutations (the bitflip family); skip and
-// register mutations leave the instruction bytes pristine and return them
-// unchanged.
+// CorruptedBytes returns the instruction bytes this experiment executes:
+// the replacement for a byte mutation, the pristine bytes for skip and
+// register mutations, which leave the instruction untouched.
 func (e Experiment) CorruptedBytes() []byte {
-	if e.Model != "" {
-		if e.Mut.Kind != MutBytes {
-			out := make([]byte, len(e.Target.Raw))
-			copy(out, e.Target.Raw)
-			return out
-		}
-		return e.Mut.Bytes
+	if e.Mut.Kind != MutBytes {
+		out := make([]byte, len(e.Target.Raw))
+		copy(out, e.Target.Raw)
+		return out
 	}
-	return encoding.Corrupt(e.Target.Raw, e.ByteIdx, e.Bit, e.Scheme)
+	return e.Mut.Bytes
 }
 
-// Mutation resolves the experiment's injection action.
-func (e Experiment) Mutation() Mutation {
-	if e.Model != "" {
-		return e.Mut
-	}
-	return Mutation{
-		Kind:      MutBytes,
-		Bytes:     e.CorruptedBytes(),
-		SpanStart: e.ByteIdx,
-		SpanEnd:   e.ByteIdx + 1,
-	}
-}
+// Mutation returns the experiment's injection action.
+func (e Experiment) Mutation() Mutation { return e.Mut }
 
 // Location classifies the experiment for the paper's Table 2/3 error-
-// location breakdown. Bitflip attributes the flipped byte exactly as the
-// original study; byte-span mutations are attributed to their span (the
-// lowest corrupted byte decides when a span straddles opcode and
-// operand), and register corruptions — which touch no instruction byte —
-// count under MISC.
+// location breakdown. Byte-span mutations are attributed to their span
+// (a single flipped byte exactly as the original study; the lowest
+// corrupted byte decides when a span straddles opcode and operand), and
+// register corruptions, which touch no instruction byte, count under MISC.
 func (e Experiment) Location() classify.Location {
-	if e.Model == "" {
-		return classify.LocationOf(&e.Target.Inst, e.Target.Raw, e.ByteIdx)
-	}
 	if e.Mut.Kind == MutReg {
 		return classify.LocMISC
 	}
@@ -320,27 +299,6 @@ func ResultFromRun(golden *classify.Golden, ex Experiment, run *classify.Run,
 		res.DetectedByWatchdog = fault.Kind == vm.FaultCFE
 	}
 	return res
-}
-
-// Enumerate lists every single-bit experiment for the target set under the
-// given scheme, in deterministic order. It is the bitflip fault model's
-// shared implementation: faultmodel's "bitflip" delegates here, so the
-// model's enumeration is byte-for-byte the pre-fault-model one.
-func Enumerate(targets []Target, scheme encoding.Scheme) []Experiment {
-	out := make([]Experiment, 0, TotalBits(targets))
-	for _, t := range targets {
-		for byteIdx := 0; byteIdx < len(t.Raw); byteIdx++ {
-			for bit := 0; bit < 8; bit++ {
-				out = append(out, Experiment{
-					Target:  t,
-					ByteIdx: byteIdx,
-					Bit:     bit,
-					Scheme:  scheme,
-				})
-			}
-		}
-	}
-	return out
 }
 
 // ValidInstructionStarts returns the set of instruction-start addresses of

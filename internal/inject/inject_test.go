@@ -7,6 +7,7 @@ import (
 
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/ftpd"
 	"faultsec/internal/inject"
 	"faultsec/internal/sshd"
@@ -30,6 +31,15 @@ func sshApp(t *testing.T) *target.App {
 		t.Fatal(err)
 	}
 	return app
+}
+
+func bitflip(t *testing.T) faultmodel.Model {
+	t.Helper()
+	m, err := faultmodel.Get("bitflip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestTargetsAreBranchInstructions(t *testing.T) {
@@ -75,7 +85,7 @@ func TestTargetsAreBranchInstructions(t *testing.T) {
 		t.Error("no MISC targets (jmp rel8/ret)")
 	}
 	t.Logf("targets: %d jcc8, %d jcc32, %d misc, %d total bits",
-		jcc8, jcc32, misc, inject.TotalBits(targets))
+		jcc8, jcc32, misc, faultmodel.Total(targets, bitflip(t)))
 }
 
 func TestGoldenRunsAllScenarios(t *testing.T) {
@@ -118,7 +128,7 @@ func TestFigure1JeJneFlip(t *testing.T) {
 		if tgt.Func != "pass" || tgt.Inst.Op != x86.OpJcc || len(tgt.Raw) != 2 {
 			continue
 		}
-		ex := inject.Experiment{Target: tgt, ByteIdx: 0, Bit: 0, Scheme: encoding.SchemeX86}
+		ex := inject.BitFlip(tgt, 0, 0, encoding.SchemeX86)
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -154,10 +164,11 @@ func TestFigure2SSHRhostsFlip(t *testing.T) {
 		if tgt.Inst.Op != x86.OpJcc {
 			continue
 		}
-		ex := inject.Experiment{Target: tgt, ByteIdx: 0, Bit: 0, Scheme: encoding.SchemeX86}
+		b := 0
 		if len(tgt.Raw) == 6 {
-			ex.ByteIdx = 1 // condition lives in the second opcode byte
+			b = 1 // condition lives in the second opcode byte
 		}
+		ex := inject.BitFlip(tgt, b, 0, encoding.SchemeX86)
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +181,36 @@ func TestFigure2SSHRhostsFlip(t *testing.T) {
 		t.Error("no condition-reversal break-in found in sshd auth — Figure 2 not reproduced")
 	}
 	t.Logf("Figure 2: %d condition reversals across sshd auth functions break in", brk)
+}
+
+// TestApplyRejectsPartialReplacement: a byte mutation must replace the
+// whole target instruction. A zero Experiment carries no replacement
+// bytes, and poking nothing would run the fault-free session as if it were
+// an injection; a short replacement would leave part of the instruction
+// pristine.
+func TestApplyRejectsPartialReplacement(t *testing.T) {
+	app := ftpApp(t)
+	sc, _ := app.Scenario("Client1")
+	golden, err := inject.GoldenRun(app, sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, err := inject.Targets(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := targets[0] // reached by Client1
+	short := inject.BitFlip(tgt, 0, 0, encoding.SchemeX86)
+	short.Mut.Bytes = short.Mut.Bytes[:len(tgt.Raw)-1]
+	for name, ex := range map[string]inject.Experiment{"zero": {Target: tgt}, "short": short} {
+		if _, err := inject.RunOne(app, sc, golden, ex, 0); err == nil {
+			t.Errorf("%s replacement: RunOne succeeded, want an error", name)
+		}
+	}
+	res, err := inject.RunOne(app, sc, golden, inject.BitFlip(tgt, 0, 0, encoding.SchemeX86), 0)
+	if err != nil || !res.Activated {
+		t.Fatalf("whole replacement: activated=%v err=%v", res.Activated, err)
+	}
 }
 
 func TestNotActivatedClassification(t *testing.T) {
@@ -190,7 +231,7 @@ func TestNotActivatedClassification(t *testing.T) {
 	// least a third are NA (the paper's FTP campaigns had high NA rates).
 	na := 0
 	for _, tgt := range targets {
-		ex := inject.Experiment{Target: tgt, ByteIdx: 0, Bit: 0, Scheme: encoding.SchemeX86}
+		ex := inject.BitFlip(tgt, 0, 0, encoding.SchemeX86)
 		res, err := inject.RunOne(app, sc, golden, ex, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +259,7 @@ func TestExperimentDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := inject.Experiment{Target: targets[3], ByteIdx: 1, Bit: 4, Scheme: encoding.SchemeX86}
+	ex := inject.BitFlip(targets[3], 1, 4, encoding.SchemeX86)
 	first, err := inject.RunOne(app, sc, golden, ex, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -241,18 +282,18 @@ func TestEnumerateCoversEveryBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := inject.Enumerate(targets, encoding.SchemeX86)
-	if len(exps) != inject.TotalBits(targets) {
-		t.Errorf("enumerated %d experiments, want %d", len(exps), inject.TotalBits(targets))
+	exps := faultmodel.Enumerate(targets, encoding.SchemeX86, bitflip(t))
+	if want := faultmodel.Total(targets, bitflip(t)); len(exps) != want {
+		t.Errorf("enumerated %d experiments, want %d", len(exps), want)
 	}
 	seen := make(map[string]bool, len(exps))
 	for _, ex := range exps {
-		key := fmt.Sprintf("%d:%d:%d", ex.Target.Addr, ex.ByteIdx, ex.Bit)
+		key := fmt.Sprintf("%d:%d", ex.Target.Addr, ex.ModelIdx)
 		if seen[key] {
 			t.Fatalf("duplicate experiment %+v", ex)
 		}
 		seen[key] = true
-		if ex.ByteIdx >= len(ex.Target.Raw) || ex.Bit > 7 {
+		if ex.ModelIdx < 0 || ex.ModelIdx >= 8*len(ex.Target.Raw) {
 			t.Fatalf("out-of-range experiment %+v", ex)
 		}
 	}
@@ -265,7 +306,7 @@ func TestSmallCampaignParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := inject.Enumerate(targets[:4], encoding.SchemeX86)
+	exps := faultmodel.Enumerate(targets[:4], encoding.SchemeX86, bitflip(t))
 	ctx := context.Background()
 	serial, err := inject.RunExperimentsNaive(ctx, inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, Parallelism: 1,
@@ -300,7 +341,7 @@ func TestCampaignCancellation(t *testing.T) {
 	cancel()
 	if _, err := inject.RunExperimentsNaive(ctx, inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86,
-	}, inject.Enumerate(targets, encoding.SchemeX86)); err == nil {
+	}, faultmodel.Enumerate(targets, encoding.SchemeX86, bitflip(t))); err == nil {
 		t.Error("canceled campaign succeeded")
 	}
 }
@@ -319,7 +360,7 @@ func TestRandomExperimentsDeterministic(t *testing.T) {
 		t.Fatalf("lengths %d/%d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Target.Addr != b[i].Target.Addr || a[i].ByteIdx != b[i].ByteIdx || a[i].Bit != b[i].Bit {
+		if a[i].Target.Addr != b[i].Target.Addr || a[i].ModelIdx != b[i].ModelIdx {
 			t.Fatalf("seeded experiments differ at %d", i)
 		}
 	}
@@ -329,7 +370,7 @@ func TestRandomExperimentsDeterministic(t *testing.T) {
 	}
 	same := 0
 	for i := range a {
-		if a[i].Target.Addr == c[i].Target.Addr && a[i].Bit == c[i].Bit {
+		if a[i].Target.Addr == c[i].Target.Addr && a[i].ModelIdx%8 == c[i].ModelIdx%8 {
 			same++
 		}
 	}
@@ -345,9 +386,9 @@ func TestRandomExperimentBytesInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range exps {
-		if ex.ByteIdx < 0 || ex.ByteIdx >= len(ex.Target.Raw) {
+		if b := ex.ModelIdx / 8; ex.ModelIdx < 0 || b >= len(ex.Target.Raw) {
 			t.Fatalf("byte index %d out of range for %d-byte instruction at %#x",
-				ex.ByteIdx, len(ex.Target.Raw), ex.Target.Addr)
+				b, len(ex.Target.Raw), ex.Target.Addr)
 		}
 		off := ex.Target.Addr - app.Image.TextBase
 		if int(off)+len(ex.Target.Raw) > len(app.Image.Text) {

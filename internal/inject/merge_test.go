@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/ftpd"
 	"faultsec/internal/inject"
 )
@@ -55,7 +56,7 @@ func TestStatsMergeProperty(t *testing.T) {
 	}
 	full, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
 		App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true,
-	}, inject.Enumerate(targets, encoding.SchemeX86))
+	}, faultmodel.Enumerate(targets, encoding.SchemeX86, bitflip(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,17 +50,8 @@ func RandomExperiments(app *target.App, scheme encoding.Scheme, n int, seed int6
 				break
 			}
 		}
-		out = append(out, Experiment{
-			Target: Target{
-				Func: funcName,
-				Addr: e.Addr,
-				Raw:  raw,
-				Inst: e.Inst,
-			},
-			ByteIdx: off - int(e.Addr-app.Image.TextBase),
-			Bit:     bit,
-			Scheme:  scheme,
-		})
+		t := Target{Func: funcName, Addr: e.Addr, Raw: raw, Inst: e.Inst}
+		out = append(out, BitFlip(t, off-int(e.Addr-app.Image.TextBase), bit, scheme))
 	}
 	return out, nil
 }

@@ -22,7 +22,7 @@ func TestModelMatrixLayout(t *testing.T) {
 		modelStats("ftpd", "bitflip", map[classify.Location]map[classify.Outcome]int{
 			classify.Loc2BC:  {classify.OutcomeBRK: 3, classify.OutcomeSD: 40},
 			classify.Loc2BO:  {classify.OutcomeFSV: 5},
-			classify.Loc6BO:  {}, // all-zero location: elided
+			classify.Loc6BO:  {},                      // all-zero location: elided
 			classify.LocMISC: {classify.OutcomeNM: 9}, // no manifested severity: elided
 		}),
 		modelStats("sshd", "cmpskip", map[classify.Location]map[classify.Outcome]int{

@@ -52,16 +52,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// BuildAll builds every registered application, in Names order.
-func BuildAll() ([]*App, error) {
-	apps := make([]*App, 0, len(buildRegistry))
-	for _, n := range Names() {
-		app, err := Build(n)
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, app)
-	}
-	return apps, nil
-}

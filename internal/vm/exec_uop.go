@@ -78,23 +78,23 @@ var uopTable = [uopTableSize]uopFn{
 	x86.UXadd:       uXadd,
 	x86.UCmpxchg:    uCmpxchg,
 
-	x86.UMovRMReg:       uMovRMReg,
-	x86.UMovRegRM:       uMovRegRM,
-	x86.UMovRMImm:       uMovRMImm,
-	x86.UMovRegImm:      uMovRegImm,
-	x86.UMovMoffsLoad:   uMovMoffsLoad,
-	x86.UMovMoffsStore:  uMovMoffsStore,
-	x86.UMovZX:          uMovZX,
-	x86.UMovSX8:         uMovSX8,
-	x86.UMovSX16:        uMovSX16,
-	x86.ULea:            uLea,
-	x86.UXchgAcc:        uXchgAcc,
-	x86.UXchgRM:         uXchgRM,
-	x86.UBswap:          uBswap,
-	x86.USetcc:          uSetcc,
-	x86.UCMov:           uCMov,
-	x86.UMovFromSeg:     uMovFromSeg,
-	x86.UMovToSeg:       uMovToSeg,
+	x86.UMovRMReg:      uMovRMReg,
+	x86.UMovRegRM:      uMovRegRM,
+	x86.UMovRMImm:      uMovRMImm,
+	x86.UMovRegImm:     uMovRegImm,
+	x86.UMovMoffsLoad:  uMovMoffsLoad,
+	x86.UMovMoffsStore: uMovMoffsStore,
+	x86.UMovZX:         uMovZX,
+	x86.UMovSX8:        uMovSX8,
+	x86.UMovSX16:       uMovSX16,
+	x86.ULea:           uLea,
+	x86.UXchgAcc:       uXchgAcc,
+	x86.UXchgRM:        uXchgRM,
+	x86.UBswap:         uBswap,
+	x86.USetcc:         uSetcc,
+	x86.UCMov:          uCMov,
+	x86.UMovFromSeg:    uMovFromSeg,
+	x86.UMovToSeg:      uMovToSeg,
 
 	x86.UPushReg:    uPushReg,
 	x86.UPushImm:    uPushImm,
