@@ -6,10 +6,8 @@ import (
 	"fmt"
 
 	"faultsec/internal/classify"
-	"faultsec/internal/disasm"
 	"faultsec/internal/inject"
 	"faultsec/internal/kernel"
-	"faultsec/internal/target"
 	"faultsec/internal/vm"
 	"faultsec/internal/x86"
 )
@@ -18,23 +16,25 @@ import (
 // exactly the state of the fault-free session at the same step, and from
 // there determinism fixes the rest of their outcome. Once per campaign the
 // engine replays the fault-free session — the golden shadow — recording a
-// checkpoint at each syscall entry and, for every target, the last step at
-// which the session retires it. Each injected run then compares itself
-// against the checkpoint with its own step count at its syscall entries,
-// and stops on an exact match: registers, EIP, flags and TSC first, then
-// the kernel session, then every page either run wrote, skipping only the
-// bytes the injector poked. A persistent byte fault may stop only where the
-// session never again retires the corrupted instruction. The run's result
-// is built from the golden end state instead of interpreting the remaining
-// instructions. DESIGN.md §3k has the soundness argument.
+// checkpoint at each syscall entry and, for every target, the first and
+// last steps at which the session retires it. Each injected run then
+// compares itself against the checkpoint with its own step count at its
+// syscall entries, and stops on an exact match: registers, EIP, flags and
+// TSC first, then the kernel session, then every page either run wrote,
+// skipping only the bytes the injector poked. A persistent byte fault may
+// stop only where the session never again retires the corrupted
+// instruction. The run's result is built from the golden end state
+// instead of interpreting the remaining instructions. DESIGN.md §3k has
+// the soundness argument.
 //
-// The same replay answers one liveness question per register-fault target:
-// which registers does the session, from its first retirement of the
-// target on, fully overwrite before reading them again, or never read
-// again? A register fault into such a dead register cannot change the run:
-// it is the golden session from its activation on, and is recorded as such
-// without interpreting anything. The replay logs each step's register
-// use/def from the first such retirement on, and one backward pass over
+// The same replay records each target's first retirement, the step every
+// activation must match, and in a campaign with register faults answers
+// one liveness question per target: which registers does the session,
+// from its first retirement of the target on, fully overwrite before
+// reading them again, or never read again? A register fault into such a
+// dead register cannot change the run: it is the golden session from its
+// activation on, and is recorded as such without interpreting anything.
+// The replay logs each step's register use/def, and one backward pass over
 // the log answers every target.
 
 // errConverged ends an injected run that has rejoined the golden shadow.
@@ -60,53 +60,33 @@ type checkpoint struct {
 // machine's syscall handler: it checkpoints the machine and the session
 // at every syscall entry, then serves the call.
 type shadow struct {
-	k   *kernel.Kernel // the replay's session; nil once the replay ends
-	cps []checkpoint
-	// retired maps each target address to the step count just after the
-	// session's last retirement of it (0: never retired).
-	retired map[uint32]uint64
-	// live holds the register liveness of every target with a
-	// register-fault experiment.
-	live map[uint32]*liveness
+	k       *kernel.Kernel // the replay's session; nil once the replay ends
+	cps     []checkpoint
+	targets map[uint32]*retirement // what the replay learned of each target
 }
 
-// liveness is one target's register liveness at the session's first
-// retirement of it: a register is dead there if the session fully writes
-// it before reading it again, or never reads it again.
-type liveness struct {
-	opened   bool        // the session retires the target
-	at       uint64      // step count at the first retirement
-	deadRegs x86.RegMask // registers dead there
+// retirement is what the golden shadow learned of one target.
+type retirement struct {
+	// first is the step count at the session's first retirement of the
+	// target; last is the step count just after its last retirement, 0 if
+	// the session never retires it.
+	first, last uint64
+	// dead holds the registers the session fully writes before reading
+	// them again after first, or never reads again; 0 in a campaign
+	// without register faults.
+	dead x86.RegMask
 }
 
-// dead returns the registers a fault at the target's activation, step
+// dead returns the registers a fault at target addr's activation, step
 // count at, cannot affect. An activation at another step than the
 // shadow's first retirement is a determinism violation.
-func (q *liveness) dead(at uint64) (x86.RegMask, error) {
-	if !q.opened || q.at != at {
-		return 0, fmt.Errorf("campaign: %w: the golden shadow first retires the target at step %d (reached %v), the sweep at %d",
-			errShadowDiverged, q.at, q.opened, at)
+func (sh *shadow) dead(addr uint32, at uint64) (x86.RegMask, error) {
+	t := sh.targets[addr]
+	if t.last == 0 || t.first != at {
+		return 0, fmt.Errorf("campaign: %w: the golden shadow first retires the target at step %d (retired %v), the sweep at %d",
+			errShadowDiverged, t.first, t.last != 0, at)
 	}
-	return q.deadRegs, nil
-}
-
-// useDef is one instruction's register reads and writes (x86.RegUseDef).
-type useDef struct{ reads, writes x86.RegMask }
-
-// useDefTable maps every valid instruction start of the app's pristine
-// text, the control-flow watchdog's linear-sweep signature set, to the
-// instruction's register use/def.
-func useDefTable(app *target.App) map[uint32]useDef {
-	img := app.Image
-	entries := disasm.Sweep(img.Text, img.TextBase, 0, uint32(len(img.Text)))
-	out := make(map[uint32]useDef, len(entries))
-	for i := range entries {
-		if !entries[i].Bad {
-			r, w := x86.RegUseDef(&entries[i].Inst)
-			out[entries[i].Addr] = useDef{r, w}
-		}
-	}
-	return out
+	return t.dead, nil
 }
 
 func (sh *shadow) Syscall(m *vm.Machine) error {
@@ -119,24 +99,23 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // exactly the pages the session wrote since load. Two guards make the
 // replay prove what a persistent fault needs: text is mapped execute-only,
 // so a session that reads its own text faults, and every step must start
-// a valid instruction, so a session that jumps mid-instruction faults. A
-// replay that does not end exactly like the golden run returns an error
+// a valid instruction of text, so a session that jumps mid-instruction
+// faults. A replay that does not end exactly like golden returns an error
 // wrapping errShadowDiverged.
 //
-// One lookup per step in the use/def table serves as that second guard
-// and, from the first retirement of a register-fault target on, as the
-// step's entry in the use/def log the liveness pass reads.
-func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment, groups []group,
-	fuel uint64) (*shadow, error) {
+// One lookup per step in text serves as that second guard and, in a
+// campaign with register faults, as the step's entry in the use/def log
+// the liveness pass reads.
+func (e *Engine) goldenShadow(golden *classify.Golden, text inject.Text, exps []inject.Experiment,
+	groups []group) (*shadow, error) {
 	client := e.cfg.Scenario.New()
-	sh := &shadow{k: kernel.New(client), retired: make(map[uint32]uint64, len(groups)),
-		live: make(map[uint32]*liveness)}
+	sh := &shadow{k: kernel.New(client), targets: make(map[uint32]*retirement, len(groups))}
 	ld, err := e.cfg.App.Image.Load(sh, nil)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: shadow load: %w", err)
 	}
 	m := ld.Machine
-	m.Fuel = fuel
+	m.Fuel = e.cfg.effectiveFuel()
 	// One pass over the session gains little from predecoding, and the
 	// decode tables would be garbage as soon as the replay ends.
 	m.NoICache = true
@@ -148,36 +127,28 @@ func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment,
 			r.Perm = vm.PermExec
 		}
 	}
-	table := useDefTable(e.cfg.App)
 
+	var log []inject.UseDef // each step's use/def in a campaign with register faults
 	for i := range groups {
-		sh.retired[groups[i].addr] = 0
+		sh.targets[groups[i].addr] = &retirement{}
 		for _, idx := range groups[i].indices {
-			if exps[idx].Mut.Kind == inject.MutReg {
-				sh.live[groups[i].addr] = &liveness{}
-				break
+			if log == nil && exps[idx].Mut.Kind == inject.MutReg {
+				log = make([]inject.UseDef, 0, golden.Steps)
 			}
 		}
 	}
-	var (
-		log    []useDef // each step's use/def from step from on; nil before
-		from   uint64
-		endErr error
-	)
+	var endErr error
 	for endErr == nil {
-		ud, ok := table[m.EIP]
+		ud, ok := text[m.EIP]
 		if !ok {
 			endErr = &vm.Fault{Kind: vm.FaultCFE, Addr: m.EIP, PC: m.EIP}
 			break
 		}
-		if _, ok := sh.retired[m.EIP]; ok {
-			sh.retired[m.EIP] = m.Steps + 1
-			if q := sh.live[m.EIP]; q != nil && !q.opened {
-				q.opened, q.at = true, m.Steps
-				if log == nil {
-					from, log = m.Steps, make([]useDef, 0, golden.Steps)
-				}
+		if t := sh.targets[m.EIP]; t != nil {
+			if t.last == 0 {
+				t.first = m.Steps
 			}
+			t.last = m.Steps + 1
 		}
 		if log != nil {
 			log = append(log, ud)
@@ -198,12 +169,12 @@ func (e *Engine) goldenShadow(golden *classify.Golden, exps []inject.Experiment,
 	liveBefore := make([]x86.RegMask, len(log))
 	var live x86.RegMask
 	for k := len(log) - 1; k >= 0; k-- {
-		live = log[k].reads | live&^log[k].writes
+		live = log[k].Reads | live&^log[k].Writes
 		liveBefore[k] = live
 	}
-	for _, q := range sh.live {
-		if q.opened {
-			q.deadRegs = ^liveBefore[q.at-from]
+	for _, t := range sh.targets {
+		if log != nil && t.last != 0 {
+			t.dead = ^liveBefore[t.first]
 		}
 	}
 	return sh, nil
@@ -231,16 +202,13 @@ type convergenceChecker struct {
 	at uint64
 }
 
-// arm readies c for one run of mutation mut at addr on kernel k. It
-// reports false when the run cannot converge: a corrupted instruction the
-// shadow never retired, which no activated target is.
-func (c *convergenceChecker) arm(sh *shadow, k *kernel.Kernel, addr uint32, mut *inject.Mutation) bool {
+// arm readies c for one run of mutation mut at addr on kernel k. The
+// shadow has retired addr: runGroup checked its first retirement.
+func (c *convergenceChecker) arm(sh *shadow, k *kernel.Kernel, addr uint32, mut *inject.Mutation) {
 	*c = convergenceChecker{k: k, cps: sh.cps}
 	if mut.Kind == inject.MutBytes {
-		c.from, c.skip, c.n = sh.retired[addr], addr, len(mut.Bytes)
-		return c.from != 0
+		c.from, c.skip, c.n = sh.targets[addr].last, addr, len(mut.Bytes)
 	}
-	return true
 }
 
 func (c *convergenceChecker) Syscall(m *vm.Machine) error {
@@ -279,19 +247,4 @@ func rewind(wm *vm.Machine, snap *snapEntry, sys vm.SyscallHandler) (*vm.Machine
 	// without stopping at any of them.
 	wm.ClearBreakpoints()
 	return wm, nil
-}
-
-// goldenEnd is the observable end of a run from this snapshot that
-// rejoined the shadow: the golden session's, activated at the breakpoint.
-// It also returns the server bytes that end sends inside the transient
-// window.
-func (s *snapEntry) goldenEnd(golden *classify.Golden) (*classify.Run, int) {
-	return &classify.Run{
-		Activated:       true,
-		Err:             &vm.ExitStatus{Code: golden.ExitCode},
-		ServerBytes:     golden.ServerBytes,
-		Granted:         golden.Granted,
-		ActivationSteps: s.activationSteps,
-		EndSteps:        golden.Steps,
-	}, len(golden.ServerBytes) - s.bytesAtActivation
 }

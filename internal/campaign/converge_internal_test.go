@@ -26,14 +26,14 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fuel := e.cfg.effectiveFuel()
-	golden, err := inject.GoldenRun(app, sc, fuel)
+	golden, err := inject.GoldenRun(app, sc, e.cfg.effectiveFuel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups := groupByTarget(exps, nil)
+	text := inject.SweepText(app)
 
-	sh, err := e.goldenShadow(golden, exps, groups, fuel)
+	sh, err := e.goldenShadow(golden, text, exps, groups)
 	if err != nil {
 		t.Fatalf("true golden: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 		t.Fatal("shadow recorded no checkpoints")
 	}
 	for _, g := range groups[:1] {
-		if sh.retired[g.addr] == 0 {
+		if sh.targets[g.addr].last == 0 {
 			t.Errorf("target %#x: no last retirement recorded", g.addr)
 		}
 	}
@@ -53,19 +53,19 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 	} {
 		forged := *golden
 		forge(&forged)
-		_, err := e.goldenShadow(&forged, exps, groups, fuel)
+		_, err := e.goldenShadow(&forged, text, exps, groups)
 		if !errors.Is(err, errShadowDiverged) || !strings.Contains(err.Error(), "determinism violation") {
 			t.Errorf("forged golden %d: err = %v, want a determinism violation", i, err)
 		}
 	}
 }
 
-// TestShadowLivenessQueries checks the shadow's register-liveness
-// queries on ftpd Client1: a bitflip campaign opens none; a regflip
-// campaign opens one per target, at the step the target activates, and
-// finds ESI and EDI dead at every activated target, since no ftpd instruction names
-// them. A query asked for another activation step reports a determinism
-// violation.
+// TestShadowLivenessQueries checks the shadow's per-target facts on ftpd
+// Client1. Every campaign records one per target, whose first retirement
+// is the step the target activates at; an activation at another step
+// reports a determinism violation. A bitflip campaign logs no use/def,
+// so it finds no register dead; a regflip campaign finds ESI and EDI dead
+// at every activated target, since no ftpd instruction names them.
 func TestShadowLivenessQueries(t *testing.T) {
 	app, err := target.Build("ftpd")
 	if err != nil {
@@ -84,18 +84,19 @@ func TestShadowLivenessQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		groups := groupByTarget(exps, nil)
-		sh, err := e.goldenShadow(golden, exps, groups, fuel)
+		sh, err := e.goldenShadow(golden, inject.SweepText(app), exps, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if model == "bitflip" {
-			if len(sh.live) != 0 {
-				t.Errorf("bitflip campaign opened %d liveness queries", len(sh.live))
-			}
-			continue
+		if len(sh.targets) != len(groups) {
+			t.Fatalf("%s: %d target facts for %d targets", model, len(sh.targets), len(groups))
 		}
-		if len(sh.live) != len(groups) {
-			t.Fatalf("%d liveness queries for %d regflip targets", len(sh.live), len(groups))
+		if model == "bitflip" {
+			for addr, f := range sh.targets {
+				if f.dead != 0 {
+					t.Errorf("bitflip campaign logged use/def: target %#x has dead registers %08b", addr, f.dead)
+				}
+			}
 		}
 		opened := 0
 		for _, g := range groups {
@@ -103,29 +104,28 @@ func TestShadowLivenessQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := sh.live[g.addr]
-			if !q.opened {
+			if sh.targets[g.addr].last == 0 {
 				// Never reached: the engine synthesizes NA without asking.
 				if s.ActivationSteps != 0 {
-					t.Errorf("target %#x activates at step %d but its query never opened", g.addr, s.ActivationSteps)
+					t.Errorf("%s: target %#x activates at step %d but the shadow never retired it", model, g.addr, s.ActivationSteps)
 				}
 				continue
 			}
 			opened++
-			dead, err := q.dead(s.ActivationSteps)
+			dead, err := sh.dead(g.addr, s.ActivationSteps)
 			if err != nil {
-				t.Fatalf("target %#x: %v", g.addr, err)
+				t.Fatalf("%s: target %#x: %v", model, g.addr, err)
 			}
-			if want := x86.RegMask(1<<x86.ESI | 1<<x86.EDI); dead&want != want {
+			if want := x86.RegMask(1<<x86.ESI | 1<<x86.EDI); model == "regflip" && dead&want != want {
 				t.Errorf("target %#x: dead registers %08b, want ESI and EDI among them", g.addr, dead)
 			}
-			if _, err := q.dead(s.ActivationSteps + 1); !errors.Is(err, errShadowDiverged) ||
+			if _, err := sh.dead(g.addr, s.ActivationSteps+1); !errors.Is(err, errShadowDiverged) ||
 				!strings.Contains(err.Error(), "determinism violation") {
-				t.Errorf("target %#x: activation one step later: err = %v, want a determinism violation", g.addr, err)
+				t.Errorf("%s: target %#x: activation one step later: err = %v, want a determinism violation", model, g.addr, err)
 			}
 		}
 		if opened == 0 {
-			t.Error("no liveness query opened")
+			t.Errorf("%s: the shadow retired no target", model)
 		}
 	}
 }

@@ -157,7 +157,7 @@ type Engine struct {
 	groupsDone  atomic.Int64 // groups whose pending experiments all finished
 
 	prefixRuns      atomic.Int64 // golden prefix executions (one per reached target)
-	snapshotRuns    atomic.Int64 // runs served by snapshot restore
+	snapshotRuns    atomic.Int64 // runs of activated targets (Metrics.SnapshotRuns)
 	synthesizedRuns atomic.Int64 // NA runs synthesized from an unreached prefix
 
 	// mu guards work, which Metrics reads while the campaign runs.
@@ -263,6 +263,47 @@ type snapEntry struct {
 	bytesAtActivation int
 }
 
+// record is a campaign's golden record: what the engine derives from the
+// fault-free session, once per campaign, for every later stage to read.
+type record struct {
+	golden  *classify.Golden
+	text    inject.Text         // the campaign's one sweep of the pristine text
+	cfValid map[uint32]struct{} // text's valid starts with the watchdog on, else nil
+	sh      *shadow             // nil when no run may converge
+}
+
+// newRecord builds the golden record of a campaign whose fault-free
+// session is golden and whose groups are left to run.
+func (e *Engine) newRecord(golden *classify.Golden, exps []inject.Experiment, groups []group) (*record, error) {
+	r := &record{golden: golden, text: inject.SweepText(e.cfg.App)}
+	if e.cfg.Watchdog {
+		r.cfValid = r.text.Starts()
+	}
+	if e.cfg.NoDirtyTracking || len(groups) == 0 {
+		return r, nil
+	}
+	sh, err := e.goldenShadow(golden, r.text, exps, groups)
+	if err != nil && !errors.Is(err, errShadowDiverged) {
+		return nil, err
+	}
+	r.sh = sh
+	return r, nil
+}
+
+// goldenEnd is the fault-free session's observable end, activated at
+// snapshot s (a run from s that rejoined the shadow), or never activated
+// with s nil (an NA run; determinism makes this exact, not a model), and
+// the server bytes it sends inside the transient window.
+func (r *record) goldenEnd(s *snapEntry) (*classify.Run, int) {
+	g := r.golden
+	run := &classify.Run{Err: &vm.ExitStatus{Code: g.ExitCode}, ServerBytes: g.ServerBytes, Granted: g.Granted, EndSteps: g.Steps}
+	if s == nil {
+		return run, 0
+	}
+	run.Activated, run.ActivationSteps = true, s.activationSteps
+	return run, len(g.ServerBytes) - s.bytesAtActivation
+}
+
 // captureSnapshots runs one golden sweep with every wave target's
 // breakpoint armed and snapshots the machine+kernel at each first hit.
 // Execution is unperturbed by armed breakpoints, so each snapshot is
@@ -270,8 +311,7 @@ type snapEntry struct {
 // sweep stops as soon as the last breakpoint is collected; targets whose
 // breakpoint the fault-free session never reaches are absent from the
 // returned table (their experiments classify as NA without execution).
-func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
-	fuel uint64) (map[uint32]*snapEntry, error) {
+func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{}) (map[uint32]*snapEntry, error) {
 	client := e.cfg.Scenario.New()
 	k := kernel.New(client)
 	ld, err := e.cfg.App.Image.Load(k, nil)
@@ -279,7 +319,7 @@ func (e *Engine) captureSnapshots(wave []group, cfValid map[uint32]struct{},
 		return nil, fmt.Errorf("campaign: sweep load: %w", err)
 	}
 	m := ld.Machine
-	m.Fuel = fuel
+	m.Fuel = e.cfg.effectiveFuel()
 	m.CFValid = cfValid
 	m.Tuning = e.cfg.Tuning
 	for i := range wave {
@@ -320,42 +360,33 @@ func (e *Engine) harvest(m *vm.Machine, w Work) {
 	e.mu.Unlock()
 }
 
+// campaignRun is one Engine.run: the campaign's ledger and golden record.
+type campaignRun struct {
+	e    *Engine
+	led  *Ledger
+	exps []inject.Experiment
+	rec  *record
+	fail context.CancelCauseFunc // cancels the campaign; its first error is the cause
+}
+
 // run is the engine core: shard by target, sweep-capture snapshots in
 // waves, execute on the worker pool, and record every run in led, which
 // journals and aggregates.
 func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 	e.led.Store(led)
-	exps := led.Experiments()
-	fuel := e.cfg.effectiveFuel()
-	golden, err := inject.GoldenRun(e.cfg.App, e.cfg.Scenario, fuel)
+	golden, err := inject.GoldenRun(e.cfg.App, e.cfg.Scenario, e.cfg.effectiveFuel())
 	if err != nil {
 		// Finish aborts the journal, releasing the path claim (else every
 		// later submit gets ErrJournalBusy) and removing a header-only file.
 		return led.Finish(ctx, err)
 	}
-	var cfValid map[uint32]struct{}
-	if e.cfg.Watchdog {
-		cfValid = inject.ValidInstructionStarts(e.cfg.App)
-	}
 
 	groups := led.pending()
 	e.groupsTotal.Store(int64(len(groups)))
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		errMu   sync.Mutex
-		loopErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if loopErr == nil {
-			loopErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
+	runCtx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	c := &campaignRun{e: e, led: led, exps: led.Experiments(), fail: fail}
 
 	// Cache adoption: consult the content-addressed store for every pending
 	// group before any execution is scheduled. The ledger records adopted
@@ -364,7 +395,7 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 	// remaining groups are the delta that actually executes.
 	var cv *CacheView
 	if e.cfg.cacheActive() {
-		if cv, err = e.buildCache(exps, golden); err != nil {
+		if cv, err = e.buildCache(c.exps, golden); err != nil {
 			fail(err)
 		} else if err = led.AdoptCache(runCtx, cv); err != nil {
 			fail(err)
@@ -374,31 +405,14 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 			groups = rem
 		}
 	}
-
-	// One golden shadow serves every group's convergence exit. Its memory
-	// compare needs dirty tracking.
-	var sh *shadow
-	if !e.cfg.NoDirtyTracking && len(groups) > 0 && runCtx.Err() == nil {
-		if sh, err = e.goldenShadow(golden, exps, groups, fuel); errors.Is(err, errShadowDiverged) {
-			sh = nil
-		} else if err != nil {
+	if runCtx.Err() == nil {
+		if c.rec, err = e.newRecord(golden, c.exps, groups); err != nil {
 			fail(err)
 		}
 	}
 
 	workers := e.cfg.effectiveWorkers(len(groups))
 	e.workers.Store(int64(workers))
-
-	// naRun is the observable outcome of a never-activated experiment: the
-	// fault-free session itself (determinism makes this exact, not a
-	// model).
-	naRun := &classify.Run{
-		Activated:   false,
-		Err:         &vm.ExitStatus{Code: golden.ExitCode},
-		ServerBytes: golden.ServerBytes,
-		Granted:     golden.Granted,
-		EndSteps:    golden.Steps,
-	}
 
 	// Worker machines are pooled across waves so each worker's address
 	// space is allocated once and rewound in place thereafter.
@@ -414,7 +428,7 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 		}
 		wave := groups[start:endIdx]
 
-		snaps, err := e.captureSnapshots(wave, cfValid, fuel)
+		snaps, err := e.captureSnapshots(wave, c.rec.cfValid)
 		if err != nil {
 			fail(err)
 			break
@@ -431,8 +445,7 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 				for gi := range gch {
 					begin := time.Now()
 					var work Work
-					wm = e.runGroup(runCtx, wm, &wave[gi], exps, golden, naRun,
-						snaps[wave[gi].addr], sh, &work, led, fail)
+					wm = c.runGroup(runCtx, wm, &wave[gi], snaps[wave[gi].addr], &work)
 					e.busyNanos.Add(time.Since(begin).Nanoseconds())
 					e.harvest(wm, work)
 					if runCtx.Err() == nil {
@@ -458,29 +471,32 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 		wg.Wait()
 	}
 
-	return led.Finish(ctx, loopErr)
+	err = context.Cause(runCtx)
+	if err == context.Cause(ctx) {
+		err = nil // the caller canceled; nothing failed
+	}
+	return led.Finish(ctx, err)
 }
 
 // runGroup executes every pending experiment of one target-address shard
 // against the target's prefix snapshot (nil = never activated). It returns
 // the (possibly newly allocated) reusable worker machine, records every
-// run in led, and counts the group's converged runs in w.
-func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
-	exps []inject.Experiment, golden *classify.Golden, naRun *classify.Run,
-	snap *snapEntry, sh *shadow, w *Work, led *Ledger, fail func(error)) *vm.Machine {
-
+// run in the ledger, and counts the group's converged runs in w.
+func (c *campaignRun) runGroup(ctx context.Context, wm *vm.Machine, g *group, snap *snapEntry, w *Work) *vm.Machine {
+	golden, shouldGrant := c.rec.golden, c.e.cfg.Scenario.ShouldGrant
 	if snap == nil {
 		// The target instruction never executes under this scenario. A
 		// from-scratch run would simply replay the fault-free session
 		// around the dormant corruption: synthesize NA from the golden
 		// observables without executing anything.
+		naRun, _ := c.rec.goldenEnd(nil)
 		for _, idx := range g.indices {
 			if ctx.Err() != nil {
 				return wm
 			}
-			e.synthesizedRuns.Add(1)
-			if _, err := led.Record(idx, inject.ResultFromRun(golden, exps[idx], naRun, e.cfg.Scenario.ShouldGrant, 0)); err != nil {
-				fail(err)
+			c.e.synthesizedRuns.Add(1)
+			if _, err := c.led.Record(idx, inject.ResultFromRun(golden, c.exps[idx], naRun, shouldGrant, 0)); err != nil {
+				c.fail(err)
 				return wm
 			}
 		}
@@ -488,13 +504,13 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 	}
 
 	var chk convergenceChecker
-	goldenEnd, goldenWindow := snap.goldenEnd(golden)
-	shouldGrant := e.cfg.Scenario.ShouldGrant
+	goldenEnd, goldenWindow := c.rec.goldenEnd(snap)
+	sh := c.rec.sh
 	var deadRegs x86.RegMask
-	if sh != nil && sh.live[g.addr] != nil {
+	if sh != nil {
 		var err error
-		if deadRegs, err = sh.live[g.addr].dead(snap.activationSteps); err != nil {
-			fail(err)
+		if deadRegs, err = sh.dead(g.addr, snap.activationSteps); err != nil {
+			c.fail(err)
 			return wm
 		}
 	}
@@ -502,7 +518,7 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		if ctx.Err() != nil {
 			return wm
 		}
-		ex := exps[idx]
+		ex := c.exps[idx]
 		mut := ex.Mutation()
 		// A fault into a register the session overwrites before reading
 		// it, or never reads again, leaves the golden session running from
@@ -515,16 +531,16 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			window int
 		)
 		if !dead || onConverged != nil {
-			fresh := e.cfg.Scenario.New()
+			fresh := c.e.cfg.Scenario.New()
 			k2 := snap.k.NewKernel(fresh)
 			var sys vm.SyscallHandler = k2
-			converging := sh != nil && chk.arm(sh, k2, g.addr, &mut)
-			if converging {
+			if sh != nil {
+				chk.arm(sh, k2, g.addr, &mut)
 				sys = &chk
 			}
 			var err error
 			if wm, err = rewind(wm, snap, sys); err != nil {
-				fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
+				c.fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
 				return wm
 			}
 			// The snapshot IS the breakpoint-stop state (EIP at the target),
@@ -532,11 +548,11 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 			s := inject.Session{Machine: wm, Kernel: k2, Client: fresh,
 				ActivationSteps: snap.activationSteps, BytesAtActivation: snap.bytesAtActivation}
 			if run, window, err = inject.Execute(&s, &ex.Target, &mut, nil); err != nil {
-				fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
+				c.fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
 				return wm
 			}
 			if !dead {
-				converged, at = converging && chk.at != 0, chk.at
+				converged, at = chk.at != 0, chk.at
 			}
 		}
 		var res inject.Result
@@ -550,9 +566,9 @@ func (e *Engine) runGroup(ctx context.Context, wm *vm.Machine, g *group,
 		} else {
 			res = inject.ResultFromRun(golden, ex, &run, shouldGrant, window)
 		}
-		e.snapshotRuns.Add(1)
-		if _, err := led.Record(idx, res); err != nil {
-			fail(err)
+		c.e.snapshotRuns.Add(1)
+		if _, err := c.led.Record(idx, res); err != nil {
+			c.fail(err)
 			return wm
 		}
 	}
@@ -621,7 +637,8 @@ type Metrics struct {
 	// PrefixRuns is the number of golden sweep executions (one per wave
 	// of up to maxResidentSnapshots scheduled targets).
 	PrefixRuns int64 `json:"prefixRuns"`
-	// SnapshotRuns is the number of runs served by snapshot restore.
+	// SnapshotRuns is the number of runs of activated targets: runs served
+	// by snapshot restore, and dead-register runs, which restore nothing.
 	SnapshotRuns int64 `json:"snapshotRuns"`
 	// SynthesizedNA is the number of NA results synthesized from an
 	// unreached prefix without any execution.

@@ -91,21 +91,26 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("castore: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("castore: %w", err)
+	}
 	br := bufio.NewReader(f)
 	header, err := br.ReadString('\n')
 	if err != nil {
 		return nil, &CorruptError{Key: key, Reason: "unreadable header"}
 	}
-	payload, reason := parseEntry(key, strings.TrimSuffix(header, "\n"), br)
+	payload, reason := parseEntry(key, strings.TrimSuffix(header, "\n"), br, fi.Size()-int64(len(header)))
 	if reason != "" {
 		return nil, &CorruptError{Key: key, Reason: reason}
 	}
 	return payload, nil
 }
 
-// parseEntry validates the header line and reads+verifies the payload.
-// It returns a non-empty reason on any validation failure.
-func parseEntry(key, header string, r io.Reader) ([]byte, string) {
+// parseEntry validates the header line and reads+verifies the payload
+// from r, which holds rest bytes. It returns a non-empty reason on any
+// validation failure.
+func parseEntry(key, header string, r io.Reader, rest int64) ([]byte, string) {
 	fields := strings.Fields(header)
 	// "castore v1 <key> <payload-sha256> <payload-len>"
 	if len(fields) != 5 || fields[0]+" "+fields[1] != magic {
@@ -114,16 +119,15 @@ func parseEntry(key, header string, r io.Reader) ([]byte, string) {
 	if fields[2] != key {
 		return nil, "key mismatch"
 	}
+	// The length must be the bytes the file holds after the header: a
+	// corrupt length must not size the payload buffer.
 	n, err := strconv.Atoi(fields[4])
-	if err != nil || n < 0 {
+	if err != nil || int64(n) != rest {
 		return nil, "bad length"
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, "truncated payload"
-	}
-	if extra, _ := io.Copy(io.Discard, r); extra != 0 {
-		return nil, "trailing bytes"
 	}
 	if hex.EncodeToString(sumOf(payload)) != fields[3] {
 		return nil, "checksum mismatch"

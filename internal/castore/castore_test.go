@@ -1,11 +1,13 @@
 package castore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -175,4 +177,78 @@ func TestOpenCreatesDir(t *testing.T) {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Fatalf("store dir not created: %v", err)
 	}
+}
+
+// withLength rewrites an entry's header length field to n.
+func withLength(raw []byte, n int64) []byte {
+	header, body, _ := bytes.Cut(raw, []byte("\n"))
+	fields := strings.Fields(string(header))
+	fields[4] = strconv.FormatInt(n, 10)
+	return append([]byte(strings.Join(fields, " ")+"\n"), body...)
+}
+
+// TestCorruptLengthIsBounded is a regression test: a header length past
+// the bytes the entry file holds is a corrupt entry, never the size of an
+// allocation. A length of 1<<62 made Get panic in make.
+func TestCorruptLengthIsBounded(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyFor("length")
+	payload := []byte("payload whose length field lies")
+	if _, err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), key)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{1 << 62, int64(len(payload)) + 1} {
+		if err := os.WriteFile(path, withLength(raw, n), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.Get(key)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Reason != "bad length" {
+			t.Errorf("length %d: Get = %v, want a CorruptError with reason %q", n, err, "bad length")
+		}
+	}
+}
+
+// FuzzCastoreGet overwrites a stored entry's file with arbitrary bytes:
+// Get must return the original payload byte for byte or a *CorruptError,
+// and never panic.
+func FuzzCastoreGet(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := keyFor("fuzz")
+	payload := []byte(`{"shard":"results payload under fuzzing"}`)
+	if _, err := s.Put(key, payload); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), key)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-5])
+	f.Add(withLength(raw, 1<<62))
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get(key)
+		var ce *CorruptError
+		switch {
+		case err == nil && !bytes.Equal(got, payload):
+			t.Fatalf("Get returned %q, want the stored payload or a CorruptError", got)
+		case err != nil && !errors.As(err, &ce):
+			t.Fatalf("Get = %v, want the stored payload or a CorruptError", err)
+		}
+	})
 }

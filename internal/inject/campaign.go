@@ -202,7 +202,7 @@ func RunExperimentsNaive(ctx context.Context, cfg Config, experiments []Experime
 	}
 	var cfValid map[uint32]struct{}
 	if cfg.Watchdog {
-		cfValid = ValidInstructionStarts(cfg.App)
+		cfValid = SweepText(cfg.App).Starts()
 	}
 
 	workers := cfg.Parallelism

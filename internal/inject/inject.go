@@ -301,16 +301,34 @@ func ResultFromRun(golden *classify.Golden, ex Experiment, run *classify.Run,
 	return res
 }
 
-// ValidInstructionStarts returns the set of instruction-start addresses of
-// the pristine program — the signature database the control-flow watchdog
-// checks EIP against.
-func ValidInstructionStarts(app *target.App) map[uint32]struct{} {
+// UseDef is one instruction's register reads and writes (x86.RegUseDef).
+type UseDef struct{ Reads, Writes x86.RegMask }
+
+// Text maps every valid instruction start of an app's pristine text to
+// the instruction's register use/def.
+type Text map[uint32]UseDef
+
+// SweepText builds app's Text in one linear sweep. It is the one definition
+// of a valid instruction start: the control-flow watchdog's signature set
+// and the golden shadow's control-flow guard.
+func SweepText(app *target.App) Text {
 	entries := disasm.Sweep(app.Image.Text, app.Image.TextBase, 0, uint32(len(app.Image.Text)))
-	out := make(map[uint32]struct{}, len(entries))
+	out := make(Text, len(entries))
 	for _, e := range entries {
 		if !e.Bad {
-			out[e.Addr] = struct{}{}
+			r, w := x86.RegUseDef(&e.Inst)
+			out[e.Addr] = UseDef{r, w}
 		}
+	}
+	return out
+}
+
+// Starts returns the valid instruction starts, the set the control-flow
+// watchdog checks EIP against (vm.Machine.CFValid).
+func (t Text) Starts() map[uint32]struct{} {
+	out := make(map[uint32]struct{}, len(t))
+	for addr := range t {
+		out[addr] = struct{}{}
 	}
 	return out
 }
