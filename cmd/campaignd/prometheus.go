@@ -48,6 +48,8 @@ var aggregateFamilies = []promFamily{
 		func(v *metricsView) int64 { return v.ConvergedRuns }},
 	{"campaignd_instructions_saved_total", "Guest instructions converged runs did not interpret.", "counter", "instructionsSaved",
 		func(v *metricsView) int64 { return v.InstructionsSaved }},
+	{"campaignd_instructions_interpreted_total", "Guest instructions executed runs interpreted after activation.", "counter", "instructionsInterpreted",
+		func(v *metricsView) int64 { return v.InstructionsInterpreted }},
 	{"campaignd_worker_shards_served_total", "Shards this daemon executed as a fleet worker.", "counter", "workerShardsServed",
 		func(v *metricsView) int64 { return v.WorkerShardsServed }},
 	{"campaignd_worker_runs_served_total", "Runs this daemon streamed as a fleet worker.", "counter", "workerRunsServed",
