@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -341,62 +342,48 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	dec := json.NewDecoder(r.Body)
+// decodeSubmit decodes and validates a POST /campaigns body without side
+// effects beyond the registry's lazy builds: it returns the request, its
+// names normalized, and the campaign config it asks for, or the 400
+// message. The checks that depend on the daemon (a result store, a journal
+// directory, the workers) are the handler's.
+func decodeSubmit(body io.Reader) (submitRequest, campaign.Config, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req submitRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return req, campaign.Config{}, fmt.Errorf("bad request body: %v", err)
 	}
 	// Lazy build through the registry: the first submit for an app compiles
 	// it; unknown names are refused with the registered list.
 	app, err := target.Build(req.App)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return req, campaign.Config{}, err
 	}
 	sc, ok := app.Scenario(req.Scenario)
 	if !ok {
-		writeErr(w, http.StatusBadRequest, "app %s has no scenario %q", req.App, req.Scenario)
-		return
+		return req, campaign.Config{}, fmt.Errorf("app %s has no scenario %q", req.App, req.Scenario)
 	}
 	scheme, err := encoding.Parse(req.Scheme)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown scheme %q (have %s)",
+		return req, campaign.Config{}, fmt.Errorf("unknown scheme %q (have %s)",
 			req.Scheme, strings.Join(encoding.Names(), ", "))
-		return
 	}
 	req.Scheme = scheme.Name()
 	model, err := faultmodel.Get(req.FaultModel)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown fault model %q (have %s)",
+		return req, campaign.Config{}, fmt.Errorf("unknown fault model %q (have %s)",
 			req.FaultModel, strings.Join(faultmodel.Names(), ", "))
-		return
 	}
 	req.FaultModel = model.Name()
 	if req.ShardRuns < 0 || (req.ShardRuns > 0 && len(req.Workers) == 0) {
-		writeErr(w, http.StatusBadRequest, "shardRuns requires a fleet campaign (non-empty workers)")
-		return
+		return req, campaign.Config{}, errors.New("shardRuns requires a fleet campaign (non-empty workers)")
 	}
 	cacheMode, err := campaign.NormalizeCacheMode(req.CacheMode)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return req, campaign.Config{}, err
 	}
 	req.CacheMode = cacheMode
-	if cacheMode != campaign.CacheOff && s.cache == nil {
-		writeErr(w, http.StatusBadRequest,
-			"cacheMode %q requested but campaignd runs without -journals (the result store lives under the journal directory)", cacheMode)
-		return
-	}
-	workers, err := s.buildWorkers(req.Workers)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
 	cfg := campaign.Config{
 		App: app, Scenario: sc, Scheme: scheme, Model: req.FaultModel,
 		Fuel: req.Fuel, Parallelism: req.Parallel, Watchdog: req.Watchdog,
@@ -404,6 +391,27 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	if cacheMode != campaign.CacheOff {
 		cfg.CacheMode = cacheMode
+	}
+	return req, cfg, nil
+}
+
+func (s *server) submit(w http.ResponseWriter, r *http.Request) {
+	req, cfg, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if cfg.CacheMode != "" && s.cache == nil {
+		writeErr(w, http.StatusBadRequest,
+			"cacheMode %q requested but campaignd runs without -journals (the result store lives under the journal directory)", cfg.CacheMode)
+		return
+	}
+	workers, err := s.buildWorkers(req.Workers)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if cfg.CacheMode != "" {
 		cfg.Cache = s.cache
 	}
 	if req.Journal {
@@ -414,9 +422,9 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		// Bitflip keeps its historical journal name (and with it, resume
 		// compatibility for journals written before fault models existed);
 		// other models get their own file per (app, scenario, scheme).
-		name := fmt.Sprintf("%s-%s-%s.jsonl", req.App, req.Scenario, scheme)
+		name := fmt.Sprintf("%s-%s-%s.jsonl", req.App, req.Scenario, cfg.Scheme)
 		if wire := campaign.WireModel(req.FaultModel); wire != "" {
-			name = fmt.Sprintf("%s-%s-%s-%s.jsonl", req.App, req.Scenario, scheme, wire)
+			name = fmt.Sprintf("%s-%s-%s-%s.jsonl", req.App, req.Scenario, cfg.Scheme, wire)
 		}
 		cfg.Journal = filepath.Join(s.journalDir, name)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"faultsec/internal/classify"
 	"faultsec/internal/inject"
@@ -24,18 +26,22 @@ import (
 // skipping only the bytes the injector poked. A persistent byte fault may
 // stop only where the session never again retires the corrupted
 // instruction. The run's result is built from the golden end state
-// instead of interpreting the remaining instructions. DESIGN.md §3k has
-// the soundness argument.
+// instead of interpreting the remaining instructions.
 //
-// The same replay records each target's first retirement, the step every
-// activation must match, and in a campaign with register faults answers
-// one liveness question per target: which registers does the session,
-// from its first retirement of the target on, fully overwrite before
-// reading them again, or never read again? A register fault into such a
-// dead register cannot change the run: it is the golden session from its
-// activation on, and is recorded as such without interpreting anything.
-// The replay logs each step's register use/def, and one backward pass over
-// the log answers every target.
+// In a campaign with register faults the same replay also answers, for
+// every target, which register byte lanes are strongly live at its first
+// retirement, the step every activation must match: which lanes can still
+// reach a branch, an address, a fault, a syscall or the bytes the kernel
+// reads. A lane whose value is only ever overwritten, copied into other
+// dead locations (a callee-saved push and pop with no read between), or
+// fed to computations whose results die, is not. A register fault into
+// lanes that are not strongly live cannot change the run: it is the
+// golden session from its activation on, and is recorded as such without
+// interpreting anything. The replay logs each step's data flow
+// (x86.RegFlow) with the data addresses it touches, and the kernel's
+// copies to and from guest memory; one backward pass over register lanes,
+// flags and the bytes of the writable regions answers every target.
+// DESIGN.md §3k has the soundness argument for both shortcuts.
 
 // errConverged ends an injected run that has rejoined the golden shadow.
 var errConverged = errors.New("campaign: run rejoined the fault-free shadow")
@@ -63,6 +69,12 @@ type shadow struct {
 	k       *kernel.Kernel // the replay's session; nil once the replay ends
 	cps     []checkpoint
 	targets map[uint32]*retirement // what the replay learned of each target
+
+	// The replay's flow log, kept in a campaign with register faults
+	// only and dropped when the replay ends: each step's flow, and the
+	// kernel's copies to and from guest memory.
+	flow   []flowStep
+	copies []kernelCopy
 }
 
 // retirement is what the golden shadow learned of one target.
@@ -71,16 +83,32 @@ type retirement struct {
 	// target; last is the step count just after its last retirement, 0 if
 	// the session never retires it.
 	first, last uint64
-	// dead holds the registers the session fully writes before reading
-	// them again after first, or never reads again; 0 in a campaign
-	// without register faults.
-	dead x86.RegMask
+	// dead holds the register lanes not strongly live at first; 0 in a
+	// campaign without register faults.
+	dead x86.Lanes
 }
 
-// dead returns the registers a fault at target addr's activation, step
-// count at, cannot affect. An activation at another step than the
-// shadow's first retirement is a determinism violation.
-func (sh *shadow) dead(addr uint32, at uint64) (x86.RegMask, error) {
+// flowStep is one retired step of the flow log: the index of its
+// instruction's flow in the campaign's Text and the data addresses it
+// touches, computed from the step's operands and pre-step registers.
+type flowStep struct {
+	flow     int32
+	mem, stk uint32 // the r/m memory operand's and the stack slot's addresses
+}
+
+// kernelCopy is one syscall's copy between the kernel and guest memory: n
+// bytes at addr that the syscall at flow log index step read (write's
+// buffer) or wrote (read's buffer, time's result).
+type kernelCopy struct {
+	step    int
+	addr, n uint32
+	read    bool
+}
+
+// dead returns the register lanes a fault at target addr's activation, step
+// count at, cannot affect. An activation at another step than the shadow's
+// first retirement is a determinism violation.
+func (sh *shadow) dead(addr uint32, at uint64) (x86.Lanes, error) {
 	t := sh.targets[addr]
 	if t.last == 0 || t.first != at {
 		return 0, fmt.Errorf("campaign: %w: the golden shadow first retires the target at step %d (retired %v), the sweep at %d",
@@ -91,7 +119,27 @@ func (sh *shadow) dead(addr uint32, at uint64) (x86.RegMask, error) {
 
 func (sh *shadow) Syscall(m *vm.Machine) error {
 	sh.cps = append(sh.cps, checkpoint{m: m.Checkpoint(), k: sh.k.Snapshot()})
-	return sh.k.Syscall(m)
+	nr, buf := m.Regs[x86.EAX], m.Regs[x86.ECX]
+	if nr == kernel.SysTime {
+		buf = m.Regs[x86.EBX]
+	}
+	err := sh.k.Syscall(m)
+	// On success EAX holds the bytes read or written, or time's result.
+	n := m.Regs[x86.EAX]
+	if sh.flow == nil || err != nil || int32(n) <= 0 {
+		return err
+	}
+	c := kernelCopy{step: len(sh.flow) - 1, addr: buf, n: n}
+	switch {
+	case nr == kernel.SysWrite:
+		c.read = true
+	case nr == kernel.SysTime && buf != 0:
+		c.n = 4
+	case nr != kernel.SysRead:
+		return nil
+	}
+	sh.copies = append(sh.copies, c)
+	return nil
 }
 
 // goldenShadow replays the fault-free session one step at a time on a
@@ -104,9 +152,9 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // wrapping errShadowDiverged.
 //
 // One lookup per step in text serves as that second guard and, in a
-// campaign with register faults, as the step's entry in the use/def log
+// campaign with register faults, yields the step's entry in the flow log
 // the liveness pass reads.
-func (e *Engine) goldenShadow(golden *classify.Golden, text inject.Text, exps []inject.Experiment,
+func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps []inject.Experiment,
 	groups []group) (*shadow, error) {
 	client := e.cfg.Scenario.New()
 	sh := &shadow{k: kernel.New(client), targets: make(map[uint32]*retirement, len(groups))}
@@ -128,18 +176,17 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text inject.Text, exps []
 		}
 	}
 
-	var log []inject.UseDef // each step's use/def in a campaign with register faults
 	for i := range groups {
 		sh.targets[groups[i].addr] = &retirement{}
 		for _, idx := range groups[i].indices {
-			if log == nil && exps[idx].Mut.Kind == inject.MutReg {
-				log = make([]inject.UseDef, 0, golden.Steps)
+			if sh.flow == nil && exps[idx].Mut.Kind == inject.MutReg {
+				sh.flow = make([]flowStep, 0, golden.Steps)
 			}
 		}
 	}
 	var endErr error
 	for endErr == nil {
-		ud, ok := text[m.EIP]
+		fi, ok := text.At(m.EIP)
 		if !ok {
 			endErr = &vm.Fault{Kind: vm.FaultCFE, Addr: m.EIP, PC: m.EIP}
 			break
@@ -150,8 +197,15 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text inject.Text, exps []
 			}
 			t.last = m.Steps + 1
 		}
-		if log != nil {
-			log = append(log, ud)
+		if sh.flow != nil {
+			f, st := &text.Flows[fi], flowStep{flow: fi}
+			if f.MemW != 0 {
+				st.mem = x86.EffAddr(&f.Addr, &m.Regs)
+			}
+			if f.HasStack {
+				st.stk = f.StackAddr(&m.Regs)
+			}
+			sh.flow = append(sh.flow, st)
 		}
 		endErr = m.Step()
 	}
@@ -162,22 +216,210 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text inject.Text, exps []
 			errShadowDiverged, endErr, m.Steps, golden.ExitCode, golden.Steps)
 	}
 	sh.k = nil
-
-	// Backward pass: a register is live before a step that reads it, or
-	// that leaves it unwritten while it is live after; nothing is live
-	// after the session's end.
-	liveBefore := make([]x86.RegMask, len(log))
-	var live x86.RegMask
-	for k := len(log) - 1; k >= 0; k-- {
-		live = log[k].Reads | live&^log[k].Writes
-		liveBefore[k] = live
-	}
-	for _, t := range sh.targets {
-		if log != nil && t.last != 0 {
-			t.dead = ^liveBefore[t.first]
-		}
+	if sh.flow != nil {
+		sh.liveness(text, m.Mem)
+		sh.flow, sh.copies = nil, nil
 	}
 	return sh, nil
+}
+
+// liveness is the backward strong-liveness pass over the flow log. Nothing
+// is live after the session's end. It records at each retired target the
+// register lanes not live before its first retirement. mem is the
+// replay's address space, whose writable regions the pass tracks bytes of.
+func (sh *shadow) liveness(text *inject.Text, mem *vm.Memory) {
+	var ts []*retirement
+	for _, t := range sh.targets {
+		if t.last != 0 {
+			ts = append(ts, t)
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].first > ts[j].first })
+	lv := newLiveSet(mem)
+	ci := len(sh.copies) - 1
+	for k := len(sh.flow) - 1; k >= 0; k-- {
+		s := &sh.flow[k]
+		lv.step(&text.Flows[s.flow], s)
+		for ; ci >= 0 && sh.copies[ci].step == k; ci-- {
+			c := &sh.copies[ci]
+			lv.putRange(c.addr, c.n, c.read)
+		}
+		for ; len(ts) > 0 && ts[0].first == uint64(k); ts = ts[1:] {
+			ts[0].dead = x86.AllLanes &^ lv.regs
+		}
+	}
+}
+
+// liveSet is the strongly live locations at one point of the session:
+// register lanes, EFLAGS bits, and one bit per byte of each writable
+// region. A byte outside them is never tracked: no run can change a
+// read-only byte, and an access to an unmapped one faults at an address
+// that is itself live.
+type liveSet struct {
+	regs  x86.Lanes
+	flags uint32
+	mem   []liveRegion
+	last  int // the region word found last, tried first
+}
+
+// liveRegion is the live bits of one writable region's bytes.
+type liveRegion struct {
+	base, size uint32
+	bits       []uint64
+}
+
+func newLiveSet(mem *vm.Memory) *liveSet {
+	lv := &liveSet{}
+	for _, r := range mem.Regions() {
+		if r.Perm&vm.PermWrite != 0 {
+			lv.mem = append(lv.mem, liveRegion{base: r.Base, size: uint32(len(r.Data)),
+				bits: make([]uint64, (len(r.Data)+63)/64)})
+		}
+	}
+	return lv
+}
+
+// get returns bit i set for each live byte addr+i, i < n <= 8.
+func (lv *liveSet) get(addr uint32, n uint8) uint8 {
+	if w, sh := lv.word(addr, n); w != nil {
+		return uint8(*w>>sh) & (1<<n - 1)
+	}
+	var out uint8
+	for i := uint8(0); i < n; i++ {
+		if w, sh := lv.word(addr+uint32(i), 1); w != nil && *w>>sh&1 != 0 {
+			out |= 1 << i
+		}
+	}
+	return out
+}
+
+// put makes byte addr+i live (on) or dead for each bit i of m.
+func (lv *liveSet) put(addr uint32, m uint8, on bool) {
+	if w, sh := lv.word(addr, 8-uint8(bits.LeadingZeros8(m))); w != nil {
+		if on {
+			*w |= uint64(m) << sh
+		} else {
+			*w &^= uint64(m) << sh
+		}
+		return
+	}
+	for i := uint32(0); m != 0; i, m = i+1, m>>1 {
+		if w, sh := lv.word(addr+i, 1); w != nil && m&1 != 0 {
+			if on {
+				*w |= 1 << sh
+			} else {
+				*w &^= 1 << sh
+			}
+		}
+	}
+}
+
+// putRange makes the n bytes at addr live (on) or dead.
+func (lv *liveSet) putRange(addr, n uint32, on bool) {
+	for ; n > 0; n-- {
+		lv.put(addr, 1, on)
+		addr++
+	}
+}
+
+// word locates the live bits of the n bytes at addr, 1 <= n <= 8, when
+// they share one bitmap word of one region: bit sh of *w is byte addr's.
+// w is nil otherwise, and for an untracked byte.
+func (lv *liveSet) word(addr uint32, n uint8) (w *uint64, sh uint32) {
+	if len(lv.mem) == 0 {
+		return nil, 0
+	}
+	r := &lv.mem[lv.last]
+	off := addr - r.base
+	if off >= r.size {
+		i := 0
+		for ; i < len(lv.mem); i++ {
+			if r, off = &lv.mem[i], addr-lv.mem[i].base; off < r.size {
+				break
+			}
+		}
+		if i == len(lv.mem) {
+			return nil, 0
+		}
+		lv.last = i
+	}
+	if off+uint32(n) > r.size || off&63+uint32(n) > 64 {
+		return nil, 0
+	}
+	return &r.bits[off>>6], off & 63
+}
+
+// addr returns the address of memory operand op (x86.MemRM or
+// x86.MemStack) at step s.
+func (s *flowStep) addr(op uint8) uint32 {
+	if op == x86.MemStack {
+		return s.stk
+	}
+	return s.mem
+}
+
+// step turns the set live after step s, of flow f, into the set live
+// before it.
+func (lv *liveSet) step(f *x86.Flow, s *flowStep) {
+	if f.Opaque {
+		lv.regs, lv.flags = x86.AllLanes, ^uint32(0)
+		for i := range lv.mem {
+			for j := range lv.mem[i].bits {
+				lv.mem[i].bits[j] = ^uint64(0)
+			}
+		}
+		return
+	}
+	out := f.Writes&lv.regs != 0 || f.FlagWrites&lv.flags != 0 ||
+		f.MemWrites&x86.MemRM != 0 && lv.get(s.mem, f.MemW) != 0 ||
+		f.MemWrites&x86.MemStack != 0 && lv.get(s.stk, 4) != 0
+	// Each copy's live destination bytes, read before any destination dies.
+	var live [2]uint8
+	for i, c := range f.Copies[:f.NCopies] {
+		if c.Dst.Mem == 0 {
+			live[i] = uint8(lv.regs >> c.Dst.Lane & (1<<f.N - 1))
+		} else {
+			live[i] = lv.get(s.addr(c.Dst.Mem), f.N)
+		}
+	}
+
+	lv.regs &^= f.Writes
+	lv.flags &^= f.FlagWrites
+	if f.MemWrites&x86.MemRM != 0 {
+		lv.put(s.mem, 1<<f.MemW-1, false)
+	}
+	if f.MemWrites&x86.MemStack != 0 {
+		lv.put(s.stk, 0xF, false)
+	}
+	for _, c := range f.Copies[:f.NCopies] {
+		if c.Dst.Mem == 0 {
+			lv.regs &^= x86.Lanes(1<<f.N-1) << c.Dst.Lane
+		} else {
+			lv.put(s.addr(c.Dst.Mem), 1<<f.N-1, false)
+		}
+	}
+
+	for i, c := range f.Copies[:f.NCopies] {
+		if c.Src.Mem == 0 {
+			lv.regs |= x86.Lanes(live[i]) << c.Src.Lane
+		} else if live[i] != 0 {
+			lv.put(s.addr(c.Src.Mem), live[i], true)
+		}
+	}
+	lv.regs |= f.Sinks
+	lv.flags |= f.SinkFlags
+	reads := f.SinkMem
+	if out {
+		lv.regs |= f.Reads
+		lv.flags |= f.FlagReads
+		reads |= f.MemReads
+	}
+	if reads&x86.MemRM != 0 {
+		lv.put(s.mem, 1<<f.MemW-1, true)
+	}
+	if reads&x86.MemStack != 0 {
+		lv.put(s.stk, 0xF, true)
+	}
 }
 
 // convergenceChecker is an injected run's syscall handler: before serving

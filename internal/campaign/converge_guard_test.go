@@ -11,6 +11,7 @@ import (
 	"faultsec/internal/image"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
+	"faultsec/internal/x86"
 )
 
 // silentClient never answers and never authenticates: the guard images
@@ -303,17 +304,275 @@ msg: .ascii "ok\r\n"
 `
 )
 
-// TestRegisterLivenessGuards checks the dead-register shortcut on images
-// built to defeat one use/def rule each: memory-operand bases, push of a
-// register, syscall arguments, partial writes. Each regflip campaign must
-// record some runs through the shortcut and give Stats equal to the naive
-// executor's.
+// The fault-flow guard images. In each, the value a register holds at
+// check's branch is only copied (mov, push, pop, xchg, through registers
+// or memory) until it reaches one sink: a strong-liveness pass that misses
+// the sink, or the copy, records golden results for runs that end
+// differently.
+const (
+	// addrCopySrc copies ESI to EDI, which addresses the byte write's
+	// count is derived from.
+	addrCopySrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, msg
+	call check
+	mov edi, esi
+	movzx edx, byte [edi]
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// writeBufferSrc stores EBX, the line, into the buffer write sends.
+	writeBufferSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov ebx, 0x0a0d6b6f
+	call check
+	mov [buf], ebx
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, buf
+	mov edx, 4
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+buf: .dd 0
+`
+	// retAddrSrc: check stores ESI over its return address and returns
+	// through it.
+	retAddrSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, back
+	call check
+back:
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	mov edx, 4
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	mov [esp], esi
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// cmpReloadSrc stores EDI, reloads it into ECX and compares it.
+	cmpReloadSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov edi, 1
+	call check
+	mov [tmp], edi
+	mov ecx, [tmp]
+	cmp ecx, 1
+	jne skip
+` + writeOKSrc + `
+skip:
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+tmp: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// partialCopySrc copies BL, then BH, into AL and compares AL: only
+	// EBX's two low lanes are live.
+	partialCopySrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov ebx, 0x0404
+	call check
+	mov eax, 0
+	mov al, bl
+	cmp al, 4
+	jne skip
+	mov al, bh
+	cmp al, 4
+	jne skip
+` + writeOKSrc + `
+skip:
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// xchgSrc swaps ECX's value through EAX and EBX into EDX, write's
+	// count, in both the short form (0x91 is xchg eax, ecx, which the
+	// assembler does not emit) and the r/m form.
+	xchgSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov ecx, 4
+	call check
+	mov eax, 0
+	.db 0x91
+	mov ebx, 0
+	xchg ebx, eax
+	xchg edx, ebx
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// pushPopChainSrc moves ESI through two push/pop pairs into ECX,
+	// which it compares.
+	pushPopChainSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 4
+	call check
+	push esi
+	pop edi
+	push edi
+	pop ecx
+	cmp ecx, 4
+	jne skip
+` + writeOKSrc + `
+skip:
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// checkSrc is the fault-flow images' check: its branch is the target.
+	checkSrc = `
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	ret
+.endfunc
+`
+	// writeOKSrc writes the line at msg.
+	writeOKSrc = `
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	mov edx, 4
+	int 0x80
+`
+)
+
+// pushPopGoldenSrc: after its branch, check pushes EBX twice and pops the
+// copies into EDX and EBX, and the caller overwrites both. EBX is read by
+// the pushes, so it is live under use/def, but its value only moves: every
+// EBX fault at the branch is the golden run.
+const pushPopGoldenSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov ebx, 7
+	call check
+` + writeOKSrc + `
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov eax, [flag]
+	cmp eax, 1
+	jne out
+	nop
+out:
+	push ebx
+	push ebx
+	pop edx
+	pop ebx
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+
+// TestRegisterLivenessGuards checks the liveness shortcut on images built
+// to defeat one rule each: memory-operand bases, push of a register,
+// syscall arguments and partial writes for use/def; and, for the copies of
+// strong liveness, a copied value reaching an address, write's buffer, a
+// popped return address, a cmp after a reload, a partial copy, xchg, and
+// the end of a push/pop chain. Each regflip campaign must record some runs
+// through the shortcut and give Stats equal to the naive executor's.
 func TestRegisterLivenessGuards(t *testing.T) {
 	for _, c := range []struct{ name, src string }{
 		{"lateESI", lateESISrc},
 		{"pushPopESI", pushPopESISrc},
 		{"syscallEDX", syscallEDXSrc},
 		{"partialWrite", partialWriteSrc},
+		{"addrCopy", addrCopySrc},
+		{"writeBuffer", writeBufferSrc},
+		{"retAddr", retAddrSrc},
+		{"cmpReload", cmpReloadSrc},
+		{"partialCopy", partialCopySrc},
+		{"xchg", xchgSrc},
+		{"pushPopChain", pushPopChainSrc},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			app, sc := guardApp(t, c.name, c.src)
@@ -341,5 +600,44 @@ func TestRegisterLivenessGuards(t *testing.T) {
 				t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
 			}
 		})
+	}
+}
+
+// TestRegisterLivenessGoldenChain checks the precision the copy rule buys:
+// on pushPopGoldenSrc every activated EBX fault is recorded as the golden
+// run without interpreting an instruction, and the Stats equal the naive
+// executor's.
+func TestRegisterLivenessGoldenChain(t *testing.T) {
+	app, sc := guardApp(t, "pushPopGolden", pushPopGoldenSrc)
+	cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip",
+		KeepResults: true, Parallelism: 1}
+	all, err := campaign.EnumerateConfig(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exps []inject.Experiment
+	for _, ex := range all {
+		if ex.Mut.Reg == x86.EBX {
+			exps = append(exps, ex)
+		}
+	}
+	eng := campaign.New(cfg)
+	got, err := eng.RunExperiments(context.Background(), exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.Metrics()
+	if m.SnapshotRuns == 0 || m.ConvergedRuns != m.SnapshotRuns || m.InstructionsInterpreted != 0 {
+		t.Errorf("%d activated EBX runs, %d converged, %d instructions interpreted; want all converged and none interpreted",
+			m.SnapshotRuns, m.ConvergedRuns, m.InstructionsInterpreted)
+	}
+	want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
+		App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1,
+	}, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
 	}
 }

@@ -63,9 +63,10 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 // TestShadowLivenessQueries checks the shadow's per-target facts on ftpd
 // Client1. Every campaign records one per target, whose first retirement
 // is the step the target activates at; an activation at another step
-// reports a determinism violation. A bitflip campaign logs no use/def,
-// so it finds no register dead; a regflip campaign finds ESI and EDI dead
-// at every activated target, since no ftpd instruction names them.
+// reports a determinism violation. A bitflip campaign logs no flow, so it
+// finds no register lane dead; a regflip campaign finds every lane of ESI
+// and EDI dead at every activated target, since no ftpd instruction names
+// them.
 func TestShadowLivenessQueries(t *testing.T) {
 	app, err := target.Build("ftpd")
 	if err != nil {
@@ -94,7 +95,7 @@ func TestShadowLivenessQueries(t *testing.T) {
 		if model == "bitflip" {
 			for addr, f := range sh.targets {
 				if f.dead != 0 {
-					t.Errorf("bitflip campaign logged use/def: target %#x has dead registers %08b", addr, f.dead)
+					t.Errorf("bitflip campaign logged flow: target %#x has dead lanes %08x", addr, f.dead)
 				}
 			}
 		}
@@ -116,8 +117,8 @@ func TestShadowLivenessQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: target %#x: %v", model, g.addr, err)
 			}
-			if want := x86.RegMask(1<<x86.ESI | 1<<x86.EDI); model == "regflip" && dead&want != want {
-				t.Errorf("target %#x: dead registers %08b, want ESI and EDI among them", g.addr, dead)
+			if want := x86.RegLanes(x86.ESI, 4) | x86.RegLanes(x86.EDI, 4); model == "regflip" && dead&want != want {
+				t.Errorf("target %#x: dead lanes %08x, want ESI's and EDI's among them", g.addr, dead)
 			}
 			if _, err := sh.dead(g.addr, s.ActivationSteps+1); !errors.Is(err, errShadowDiverged) ||
 				!strings.Contains(err.Error(), "determinism violation") {

@@ -301,33 +301,41 @@ func ResultFromRun(golden *classify.Golden, ex Experiment, run *classify.Run,
 	return res
 }
 
-// UseDef is one instruction's register reads and writes (x86.RegUseDef).
-type UseDef struct{ Reads, Writes x86.RegMask }
-
-// Text maps every valid instruction start of an app's pristine text to
-// the instruction's register use/def.
-type Text map[uint32]UseDef
+// Text is an app's pristine text, swept once: every valid instruction
+// start and the instruction's data flow (x86.RegFlow).
+type Text struct {
+	// Flows holds the instructions' flows in address order.
+	Flows []x86.Flow
+	at    map[uint32]int32 // valid start -> index into Flows
+}
 
 // SweepText builds app's Text in one linear sweep. It is the one definition
 // of a valid instruction start: the control-flow watchdog's signature set
 // and the golden shadow's control-flow guard.
-func SweepText(app *target.App) Text {
+func SweepText(app *target.App) *Text {
 	entries := disasm.Sweep(app.Image.Text, app.Image.TextBase, 0, uint32(len(app.Image.Text)))
-	out := make(Text, len(entries))
+	t := &Text{Flows: make([]x86.Flow, 0, len(entries)), at: make(map[uint32]int32, len(entries))}
 	for _, e := range entries {
 		if !e.Bad {
-			r, w := x86.RegUseDef(&e.Inst)
-			out[e.Addr] = UseDef{r, w}
+			t.at[e.Addr] = int32(len(t.Flows))
+			t.Flows = append(t.Flows, x86.RegFlow(&e.Inst))
 		}
 	}
-	return out
+	return t
+}
+
+// At returns the Flows index of the instruction starting at addr, and
+// whether addr is a valid instruction start.
+func (t *Text) At(addr uint32) (int32, bool) {
+	i, ok := t.at[addr]
+	return i, ok
 }
 
 // Starts returns the valid instruction starts, the set the control-flow
 // watchdog checks EIP against (vm.Machine.CFValid).
-func (t Text) Starts() map[uint32]struct{} {
-	out := make(map[uint32]struct{}, len(t))
-	for addr := range t {
+func (t *Text) Starts() map[uint32]struct{} {
+	out := make(map[uint32]struct{}, len(t.at))
+	for addr := range t.at {
 		out[addr] = struct{}{}
 	}
 	return out

@@ -282,3 +282,256 @@ func FuzzRegUseDef(f *testing.F) {
 		}
 	})
 }
+
+// The flow oracle: x86.RegFlow's copies against the interpreter switch.
+// For one instruction the descriptor calls a copy and one machine state it
+// steps a NoICache machine once as is and, per copy, once with the copy's
+// source bytes XORed by random nonzero bytes, and requires:
+//
+//   - when the step retires, every destination byte equals its source
+//     byte before the step;
+//   - with the source perturbed, the fault, EIP, flags, counters and every
+//     register lane and memory byte come out as unperturbed, except the
+//     copy's destination bytes, which carry the perturbation, and the
+//     source bytes themselves, which keep it or are overwritten.
+//
+// A source byte the descriptor also lists as a sink (a pushed ESP, a
+// stored address register) is not perturbed: a sink may change anything.
+
+// flowLoc is one byte of a copy operand: a register lane or a memory
+// address.
+type flowLoc struct {
+	reg  bool
+	lane uint8
+	addr uint32
+}
+
+// flowByteLoc returns byte i of copy operand op under flow f from state st.
+func flowByteLoc(f *x86.Flow, op x86.Operand, i uint8, st *useDefState) flowLoc {
+	switch op.Mem {
+	case x86.MemRM:
+		return flowLoc{addr: x86.EffAddr(&f.Addr, &st.regs) + uint32(i)}
+	case x86.MemStack:
+		return flowLoc{addr: f.StackAddr(&st.regs) + uint32(i)}
+	}
+	return flowLoc{reg: true, lane: op.Lane + i}
+}
+
+// regionByte returns the region index and offset of addr, or ok false when
+// it is unmapped.
+func (g *useDefRig) regionByte(addr uint32) (ri int, off uint32, ok bool) {
+	for i, r := range g.m.Mem.Regions() {
+		if o := addr - r.Base; o < uint32(len(r.Data)) {
+			return i, o, true
+		}
+	}
+	return 0, 0, false
+}
+
+// runXor steps the instruction once from st with the given register and
+// memory bytes XORed in, and returns the step's error.
+func (g *useDefRig) runXor(st useDefState, regXor [x86.NumRegs]uint32, memXor map[uint32]byte) error {
+	for i, reg := range g.m.Mem.Regions() {
+		copy(reg.Data, g.tmpl[i])
+	}
+	for addr, x := range memXor {
+		ri, off, _ := g.regionByte(addr)
+		g.m.Mem.Regions()[ri].Data[off] ^= x
+	}
+	for r := range st.regs {
+		st.regs[r] ^= regXor[r]
+	}
+	g.m.Regs, g.m.Flags, g.m.EIP, g.m.Steps, g.m.TSC = st.regs, st.flags, useDefText, 0, 0
+	return g.m.Step()
+}
+
+func laneByte(regs *[x86.NumRegs]uint32, lane uint8) byte {
+	return byte(regs[lane/4] >> (8 * (lane % 4)))
+}
+
+// checkFlow runs the flow oracle for code from st, drawing perturbations
+// from rng. It returns the first violated property, or "" when code does
+// not decode, RegFlow lists no copy, or every property holds.
+func (g *useDefRig) checkFlow(code []byte, st useDefState, rng *rand.Rand) string {
+	var in x86.Inst
+	if x86.DecodeInto(&in, code) != nil {
+		return ""
+	}
+	f := x86.RegFlow(&in)
+	if f.NCopies == 0 {
+		return ""
+	}
+	copy(g.tmpl[0], code)
+	for i := len(code); i < len(g.tmpl[0]); i++ {
+		g.tmpl[0][i] = 0
+	}
+
+	baseErr := g.runXor(st, [x86.NumRegs]uint32{}, nil)
+	base := struct {
+		Regs       [x86.NumRegs]uint32
+		EIP, Flags uint32
+		Steps, TSC uint64
+	}{g.m.Regs, g.m.EIP, g.m.Flags, g.m.Steps, g.m.TSC}
+	for i, reg := range g.m.Mem.Regions() {
+		copy(g.base[i], reg.Data)
+	}
+	if baseErr == nil {
+		for ci, c := range f.Copies[:f.NCopies] {
+			for i := uint8(0); i < f.N; i++ {
+				src, dst := flowByteLoc(&f, c.Src, i, &st), flowByteLoc(&f, c.Dst, i, &st)
+				var sv, dv byte
+				if src.reg {
+					sv = laneByte(&st.regs, src.lane)
+				} else if ri, off, ok := g.regionByte(src.addr); ok {
+					sv = g.tmpl[ri][off]
+				} else {
+					return fmt.Sprintf("copy %d reads unmapped %#x and retires", ci, src.addr)
+				}
+				if dst.reg {
+					dv = laneByte(&base.Regs, dst.lane)
+				} else if ri, off, ok := g.regionByte(dst.addr); ok {
+					dv = g.base[ri][off]
+				} else {
+					return fmt.Sprintf("copy %d writes unmapped %#x and retires", ci, dst.addr)
+				}
+				if sv != dv {
+					return fmt.Sprintf("copy %d byte %d: destination %#02x, source was %#02x", ci, i, dv, sv)
+				}
+			}
+		}
+	}
+
+	for ci, c := range f.Copies[:f.NCopies] {
+		var regXor [x86.NumRegs]uint32
+		memXor := map[uint32]byte{}
+		diff := map[flowLoc]byte{} // required XOR against the unperturbed end
+		free := map[flowLoc]bool{} // source bytes: either
+		for i := uint8(0); i < f.N; i++ {
+			src, dst := flowByteLoc(&f, c.Src, i, &st), flowByteLoc(&f, c.Dst, i, &st)
+			x := byte(rng.Intn(255) + 1)
+			if src.reg {
+				if f.Sinks>>src.lane&1 != 0 {
+					continue
+				}
+				regXor[src.lane/4] |= uint32(x) << (8 * (src.lane % 4))
+			} else {
+				if ri, _, ok := g.regionByte(src.addr); f.SinkMem&c.Src.Mem != 0 || !ok || ri == 0 {
+					continue // a sink, unmapped, or the instruction's own bytes
+				}
+				memXor[src.addr] = x
+			}
+			free[src] = true
+			if baseErr == nil {
+				diff[dst] = x
+			}
+		}
+		if len(free) == 0 {
+			continue
+		}
+		err := g.runXor(st, regXor, memXor)
+		m := g.m
+		switch {
+		case !reflect.DeepEqual(err, baseErr):
+			return fmt.Sprintf("copy %d's source changed the end: %v, unperturbed %v", ci, err, baseErr)
+		case m.EIP != base.EIP || m.Flags != base.Flags || m.Steps != base.Steps || m.TSC != base.TSC:
+			return fmt.Sprintf("copy %d's source changed EIP/flags/counters", ci)
+		}
+		check := func(l flowLoc, got, want byte) string {
+			x, isDst := diff[l]
+			switch {
+			case isDst && got != want^x:
+				return fmt.Sprintf("copy %d destination %+v = %#02x, want the perturbed source %#02x", ci, l, got, want^x)
+			case !isDst && got != want && !free[l]:
+				return fmt.Sprintf("copy %d's source changed %+v: %#02x, unperturbed %#02x", ci, l, got, want)
+			}
+			return ""
+		}
+		for lane := uint8(0); lane < 4*x86.NumRegs; lane++ {
+			if msg := check(flowLoc{reg: true, lane: lane}, laneByte(&m.Regs, lane), laneByte(&base.Regs, lane)); msg != "" {
+				return msg
+			}
+		}
+		for ri, reg := range m.Mem.Regions() {
+			for off := range reg.Data {
+				if msg := check(flowLoc{addr: reg.Base + uint32(off)}, reg.Data[off], g.base[ri][off]); msg != "" {
+					return msg
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// flowSamples returns one encoding per distinct register shape in the
+// decoder's reachable space whose flow RegFlow lists a copy in.
+func flowSamples() [][]byte {
+	var out [][]byte
+	for _, enc := range useDefSamples() {
+		var in x86.Inst
+		if x86.DecodeInto(&in, enc) == nil {
+			if f := x86.RegFlow(&in); f.NCopies > 0 {
+				out = append(out, enc)
+			}
+		}
+	}
+	return out
+}
+
+// TestRegFlowOracle checks x86.RegFlow's copies against the interpreter
+// switch for one encoding of every register shape RegFlow calls a copy,
+// from random states, and for every copy the random byte streams of
+// TestUopDifferentialRandom retire.
+func TestRegFlowOracle(t *testing.T) {
+	g := newUseDefRig()
+	rng := rand.New(rand.NewSource(0xF10))
+	samples := flowSamples()
+	checks := 0
+	for _, enc := range samples {
+		for i := 0; i < 4; i++ {
+			if msg := g.checkFlow(enc, randomUseDefState(rng), rng); msg != "" {
+				t.Fatalf("% x: %s", enc, msg)
+			}
+			checks++
+		}
+	}
+	useDefStreams(t, func(code []byte, st useDefState) {
+		if msg := g.checkFlow(code, st, rng); msg != "" {
+			t.Fatalf("stream % x: %s", code, msg)
+		}
+		checks++
+	})
+	if len(samples) == 0 {
+		t.Fatal("no copy shapes")
+	}
+	t.Logf("%d copy encodings, %d checks", len(samples), checks)
+}
+
+// FuzzRegFlow is TestRegFlowOracle's check as a fuzz target: code is one
+// instruction's bytes and seed draws the state and perturbations. The seed
+// corpus is one encoding per (Op, Form) pair RegFlow calls a copy.
+func FuzzRegFlow(f *testing.F) {
+	type key struct {
+		op   x86.Op
+		form x86.Form
+	}
+	seen := map[key]bool{}
+	for _, enc := range flowSamples() {
+		var in x86.Inst
+		if x86.DecodeInto(&in, enc) == nil {
+			if k := (key{in.Op, in.Form}); !seen[k] {
+				seen[k] = true
+				f.Add(enc, int64(len(seen)))
+			}
+		}
+	}
+	g := newUseDefRig()
+	f.Fuzz(func(t *testing.T, code []byte, seed int64) {
+		if len(code) > x86.MaxInstLen {
+			code = code[:x86.MaxInstLen]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if msg := g.checkFlow(code, randomUseDefState(rng), rng); msg != "" {
+			t.Fatalf("% x: %s", code, msg)
+		}
+	})
+}
