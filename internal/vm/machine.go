@@ -183,14 +183,7 @@ func (m *Machine) regWrite(r uint8, w uint8, v uint32) {
 
 // effAddr computes the effective address of a memory operand.
 func (m *Machine) effAddr(rm *x86.RM) uint32 {
-	addr := uint32(rm.Disp)
-	if rm.Base != x86.NoReg {
-		addr += m.Regs[rm.Base]
-	}
-	if rm.Index != x86.NoReg {
-		addr += m.Regs[rm.Index] * uint32(rm.Scale)
-	}
-	return addr
+	return x86.EffAddr(rm, &m.Regs)
 }
 
 // rmRead reads the r/m operand at width w.

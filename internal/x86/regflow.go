@@ -20,10 +20,13 @@ package x86
 //     branch targets (the return address ret pops included), the syscall
 //     arguments EAX-EDX.
 //
-// Like RegUseDef the metadata is conservative. A written location that the
-// instruction may leave unchanged, or compute from its own old value, is
-// also read. The computed part's register reads and writes are RegUseDef's,
-// widened to whole registers. Anything not listed — mostly operations only
+// Like UopEffects the metadata is conservative. A written location that
+// the instruction may leave unchanged, or compute from its own old value,
+// is also read. The computed part reads and writes whole registers: an 8-
+// or 16-bit write keeps the untouched bytes, so it reads the register as
+// well, and only a 32-bit write whose value does not depend on the
+// register kills it. A memory operand's address registers are computed
+// reads as well as sinks. Anything not listed — mostly operations only
 // corrupted code reaches — is Opaque: every location is live before it.
 
 // Lanes is a set of general-purpose register byte lanes: bit 4·r+i is
@@ -61,13 +64,20 @@ func MaskLanes(r uint8, mask uint32) Lanes {
 	return l
 }
 
-// maskLanes widens a register set to all lanes of its registers.
-func maskLanes(m RegMask) Lanes {
+// wholeReg returns the four lanes of the register that register operand
+// n at width w lives in.
+func wholeReg(n, w uint8) Lanes {
+	return regLanes << (firstLane(n, w) &^ 3)
+}
+
+// addrRegs returns the lanes of memory operand rm's base and index.
+func addrRegs(rm *RM) Lanes {
 	var l Lanes
-	for r := uint8(0); r < NumRegs; r++ {
-		if m>>r&1 != 0 {
-			l |= regLanes << (4 * r)
-		}
+	if rm.Base != NoReg {
+		l |= wholeReg(uint8(rm.Base), 4)
+	}
+	if rm.Index != NoReg {
+		l |= wholeReg(uint8(rm.Index), 4)
 	}
 	return l
 }
@@ -125,8 +135,8 @@ type Flow struct {
 	StackOff  int8
 }
 
-// EffAddr is the address of memory operand rm under registers regs, as the
-// interpreter computes it.
+// EffAddr is the address of memory operand rm under registers regs. The
+// interpreter computes every operand address with it.
 func EffAddr(rm *RM, regs *[NumRegs]uint32) uint32 {
 	addr := uint32(rm.Disp)
 	if rm.Base != NoReg {
@@ -149,6 +159,13 @@ func condReads(cc uint8) uint32 {
 		FlagSF | FlagOF, FlagZF | FlagSF | FlagOF}[cc>>1&7]
 }
 
+// zeroIdiom reports a 32-bit xor or sub of a register with itself, whose
+// result (zero) and flags do not depend on the register.
+func zeroIdiom(in *Inst) bool {
+	return (in.Op == OpXor || in.Op == OpSub) && in.W == 4 &&
+		(in.Form == FormRMReg || in.Form == FormRegRM) && in.RM.IsReg && in.RM.Reg == in.Reg
+}
+
 // mem makes rm, read or written at width w, the r/m operand: a memory
 // operand's base and index become sinks. It returns the operand.
 func (f *Flow) mem(rm *RM, w uint8) Operand {
@@ -156,12 +173,7 @@ func (f *Flow) mem(rm *RM, w uint8) Operand {
 		return Operand{Lane: firstLane(rm.Reg, w)}
 	}
 	f.Addr, f.MemW = *rm, w
-	if rm.Base != NoReg {
-		f.Sinks |= regLanes << (4 * uint8(rm.Base&7))
-	}
-	if rm.Index != NoReg {
-		f.Sinks |= regLanes << (4 * uint8(rm.Index&7))
-	}
+	f.Sinks |= addrRegs(rm)
 	return Operand{Mem: MemRM}
 }
 
@@ -172,26 +184,40 @@ func (f *Flow) copy(dst, src Operand, n uint8) {
 	f.N = n
 }
 
-// regs makes in's computed part read and write RegUseDef's registers.
-func (f *Flow) regs(in *Inst) {
-	reads, writes := RegUseDef(in)
-	f.Reads, f.Writes = maskLanes(reads), maskLanes(writes)
+// read makes register operand n at width w a computed-part read.
+func (f *Flow) read(n, w uint8) { f.Reads |= wholeReg(n, w) }
+
+// write makes register operand n at width w a computed-part write; a
+// partial write keeps the untouched bytes, so it reads the register too.
+func (f *Flow) write(n, w uint8) {
+	f.Writes |= wholeReg(n, w)
+	if w != 4 {
+		f.read(n, w)
+	}
 }
 
-// compute makes in's computed part RegUseDef's registers, and its r/m
-// operand at width w, when in has a memory one, read and, if write,
-// written.
+// modify makes register operand n at width w a computed-part read and
+// write.
+func (f *Flow) modify(n, w uint8) {
+	f.read(n, w)
+	f.write(n, w)
+}
+
+// compute makes in's r/m operand at width w a computed-part read and, if
+// write, a computed-part write.
 func (f *Flow) compute(in *Inst, w uint8, write bool) {
-	f.regs(in)
-	switch in.Form {
-	case FormRMReg, FormRegRM, FormRMImm, FormRM, FormRegRMImm:
-		if !in.RM.IsReg {
-			f.mem(&in.RM, w)
-			f.MemReads = MemRM
-			if write {
-				f.MemWrites = MemRM
-			}
+	if in.RM.IsReg {
+		f.read(in.RM.Reg, w)
+		if write {
+			f.write(in.RM.Reg, w)
 		}
+		return
+	}
+	f.mem(&in.RM, w)
+	f.Reads |= addrRegs(&in.RM)
+	f.MemReads = MemRM
+	if write {
+		f.MemWrites = MemRM
 	}
 }
 
@@ -225,13 +251,25 @@ func RegFlow(in *Inst) Flow {
 	switch in.Op {
 	case OpAdd, OpOr, OpAdc, OpSbb, OpAnd, OpSub, OpXor, OpCmp, OpTest:
 		store := in.Op != OpCmp && in.Op != OpTest
-		switch in.Form {
-		case FormRMReg, FormRMImm:
+		switch {
+		case zeroIdiom(in):
+			f.Writes = wholeReg(in.Reg, 4)
+		case in.Form == FormRMReg:
 			f.compute(in, in.W, store)
-		case FormRegRM:
+			f.read(in.Reg, in.W)
+		case in.Form == FormRegRM:
 			f.compute(in, in.W, false)
-		case FormAccImm:
-			f.regs(in)
+			f.read(in.Reg, in.W)
+			if store {
+				f.write(in.Reg, in.W)
+			}
+		case in.Form == FormRMImm:
+			f.compute(in, in.W, store)
+		case in.Form == FormAccImm:
+			f.read(EAX, in.W)
+			if store {
+				f.write(EAX, in.W)
+			}
 		default:
 			return opaque
 		}
@@ -275,8 +313,9 @@ func RegFlow(in *Inst) Flow {
 		f.Writes = (regLanes &^ Lanes(1<<in.W-1)) << (4 * (in.Reg & 7))
 	case OpMovSX:
 		f.compute(in, in.W, false)
+		f.write(in.Reg, 4)
 	case OpLea: // no memory access: the base and index are data
-		f.regs(in)
+		f.Reads, f.Writes = addrRegs(&in.RM), wholeReg(in.Reg, 4)
 
 	case OpXchg:
 		if in.Form == FormReg { // xchg eax, r32
@@ -335,7 +374,11 @@ func RegFlow(in *Inst) Flow {
 		f.Reads, f.Writes, f.Sinks = regLanes<<(4*EBP), regLanes<<(4*ESP), regLanes<<(4*EBP)
 
 	case OpInc, OpDec:
-		f.compute(in, in.W, true)
+		if in.Form == FormReg {
+			f.modify(in.Reg, in.W)
+		} else {
+			f.compute(in, in.W, true)
+		}
 		f.FlagWrites = incFlags
 	case OpNot:
 		f.compute(in, in.W, true)
@@ -344,25 +387,37 @@ func RegFlow(in *Inst) Flow {
 		f.FlagWrites = arithFlags
 
 	case OpMul, OpIMul, OpDiv, OpIDiv:
-		w := in.W
+		div := in.Op == OpDiv || in.Op == OpIDiv
 		switch {
-		case in.Form == FormRegRM || in.Form == FormRegRMImm:
-			if in.Op != OpIMul {
-				return opaque
+		case in.Form == FormRM: // EDX:EAX (or AX) against r/m
+			f.compute(in, in.W, false)
+			f.modify(EAX, 4)
+			switch {
+			case div:
+				f.modify(EDX, 4)
+			case in.W != 1: // a 32-bit multiply overwrites EDX unread
+				f.write(EDX, in.W)
 			}
-			w = 4
-		case in.Form != FormRM:
+		case in.Op == OpIMul && (in.Form == FormRegRM || in.Form == FormRegRMImm):
+			f.compute(in, 4, false)
+			if in.Form == FormRegRM {
+				f.read(in.Reg, 4)
+			}
+			f.write(in.Reg, 4)
+		default:
 			return opaque
 		}
-		f.compute(in, w, false)
 		f.FlagReads, f.FlagWrites = arithFlags, arithFlags
-		if in.Op == OpDiv || in.Op == OpIDiv { // the quotient may fault
+		if div { // the quotient may fault
 			f.Sinks |= regLanes<<(4*EAX) | regLanes<<(4*EDX)
-			f.sinkRM(in, w)
+			f.sinkRM(in, in.W)
 		}
 
 	case OpRol, OpRor, OpRcl, OpRcr, OpShl, OpShr, OpSar:
 		f.compute(in, in.W, true)
+		if in.Form == FormRM { // count in CL
+			f.read(ECX, 4)
+		}
 		f.FlagReads, f.FlagWrites = arithFlags, arithFlags
 
 	case OpJcc:
@@ -396,8 +451,11 @@ func RegFlow(in *Inst) Flow {
 		if in.Imm == 0x80 { // the kernel reads the call number and arguments
 			f.Sinks = regLanes<<(4*EAX) | regLanes<<(4*ECX) | regLanes<<(4*EDX) | regLanes<<(4*EBX)
 		}
-	case OpCbw, OpCwd:
-		f.compute(in, in.W, false)
+	case OpCbw: // AL into AX, or AX into EAX
+		f.modify(EAX, 4)
+	case OpCwd: // the sign of AX into DX, or of EAX into EDX
+		f.read(EAX, 4)
+		f.write(EDX, in.W)
 	case OpClc, OpStc:
 		f.FlagWrites = FlagCF
 	case OpCmc:
