@@ -76,7 +76,8 @@ type Config struct {
 	Model string
 	// Fuel is the per-run instruction budget; 0 means inject.DefaultFuel.
 	Fuel uint64
-	// Parallelism is the worker count; 0 means GOMAXPROCS.
+	// Parallelism is the worker count; 0 means GOMAXPROCS, and a larger
+	// count is capped at GOMAXPROCS.
 	Parallelism int
 	// KeepResults retains every per-run Result in Stats.Results.
 	KeepResults bool
@@ -128,10 +129,14 @@ const maxResidentSnapshots = 256
 
 func (c *Config) effectiveFuel() uint64 { return inject.EffectiveFuel(c.Fuel) }
 
+// effectiveWorkers is the worker count for n target groups: Parallelism,
+// at most GOMAXPROCS (each worker is CPU-bound and holds its own machine),
+// and at most n when n > 0.
 func (c *Config) effectiveWorkers(n int) int {
+	procs := runtime.GOMAXPROCS(0)
 	w := c.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if w <= 0 || w > procs {
+		w = procs
 	}
 	if w > n && n > 0 {
 		w = n

@@ -37,14 +37,6 @@ import "faultsec/internal/x86"
 //     nor share them; Restore keeps traces over pristine bytes and drops
 //     the ones over poked spans (icacheInstall), which is what lets decode
 //     and fuse work survive across a whole experiment group.
-//
-// Dead-flag elision rides on the fused form: when a trace proves that
-// every EFLAGS bit an op writes is overwritten before anything can
-// observe it — observers being flag-reading ops, any op that can fault or
-// write memory (a mid-trace abort exposes EFLAGS), and the trace end —
-// the op's handler is swapped for a flag-free variant (uopNFTable). The
-// liveness pass (elideDeadFlags) treats every non-pure op as a full
-// barrier, so elision only ever spans register-only instructions.
 
 const (
 	// maxTraceUops caps the fused ops per trace; maxTraceBytes caps the
@@ -53,9 +45,9 @@ const (
 	maxTraceBytes = 128
 )
 
-// traceOp is one fused micro-op: the resolved handler (possibly a
-// flag-free variant), the bound micro-op, and the instruction address
-// with its precomputed fall-through successor.
+// traceOp is one fused micro-op: the resolved handler, the bound
+// micro-op, and the instruction address with its precomputed fall-through
+// successor.
 type traceOp struct {
 	fn   uopFn
 	pc   uint32
@@ -160,7 +152,6 @@ func (m *Machine) fuseTrace(pc, end uint32) *trace {
 		}
 		addr = next
 	}
-	elideDeadFlags(tr.ops)
 	return tr
 }
 
@@ -231,141 +222,4 @@ func (m *Machine) flushTrace(e *traceOp, i int) {
 	m.EIP = e.next
 	m.Steps += uint64(i + 1)
 	m.TSC += 3 * uint64(i+1) // deterministic pseudo cycle count, as in Step
-}
-
-// elideDeadFlags is the backward liveness pass over a fused trace: ops
-// whose written flags are all provably overwritten before any observer
-// swap their handler for the flag-free variant. Non-pure ops (anything
-// that can fault, touch memory, or whose flag behavior is not exactly
-// described) force full liveness on both sides — a mid-trace fault or
-// abort exposes EFLAGS, so elision never crosses them.
-func elideDeadFlags(ops []traceOp) {
-	const allFlags = x86.FlagCF | x86.FlagPF | x86.FlagAF | x86.FlagZF |
-		x86.FlagSF | x86.FlagDF | x86.FlagOF
-	live := uint32(allFlags)
-	for i := len(ops) - 1; i >= 0; i-- {
-		e := &ops[i]
-		ef := x86.UopEffectsOf(e.u.H)
-		if !ef.Pure || (ef.UsesRM && !e.u.RM.IsReg) {
-			live = allFlags
-			continue
-		}
-		if ef.Writes != 0 && ef.Writes&live == 0 {
-			if nf := uopNFTable[e.u.H&(uopTableSize-1)]; nf != nil {
-				e.fn = nf
-			}
-		}
-		live = ef.Reads | (live &^ ef.Writes)
-	}
-}
-
-// Flag-free handler variants. These run only inside fused traces, only
-// when elideDeadFlags proved the op's flag writes dead, and only for
-// register operands (the purity gate), so they skip the flag cores and
-// every fault check. Results are width-masked by regWrite exactly like
-// the full handlers' flag cores mask theirs.
-
-func nfBinRMReg(op func(m *Machine, a, b uint32) uint32) uopFn {
-	return func(m *Machine, u *x86.Uop) error {
-		m.regWrite(u.RM.Reg, u.W, op(m, m.regRead(u.RM.Reg, u.W), m.regRead(u.Reg, u.W)))
-		return nil
-	}
-}
-
-func nfBinRegRM(op func(m *Machine, a, b uint32) uint32) uopFn {
-	return func(m *Machine, u *x86.Uop) error {
-		m.regWrite(u.Reg, u.W, op(m, m.regRead(u.Reg, u.W), m.regRead(u.RM.Reg, u.W)))
-		return nil
-	}
-}
-
-func nfBinRMImm(op func(m *Machine, a, b uint32) uint32) uopFn {
-	return func(m *Machine, u *x86.Uop) error {
-		m.regWrite(u.RM.Reg, u.W, op(m, m.regRead(u.RM.Reg, u.W), uint32(u.Imm)))
-		return nil
-	}
-}
-
-func nfAdd(_ *Machine, a, b uint32) uint32 { return a + b }
-func nfSub(_ *Machine, a, b uint32) uint32 { return a - b }
-func nfAnd(_ *Machine, a, b uint32) uint32 { return a & b }
-func nfOr(_ *Machine, a, b uint32) uint32  { return a | b }
-func nfXor(_ *Machine, a, b uint32) uint32 { return a ^ b }
-func nfAdc(m *Machine, a, b uint32) uint32 { return a + b + b2u(m.GetFlag(x86.FlagCF)) }
-func nfSbb(m *Machine, a, b uint32) uint32 { return a - b - b2u(m.GetFlag(x86.FlagCF)) }
-
-// nfNop is the variant for ops whose only architectural effect is the
-// (dead) flag write: CMP, TEST, CLC/STC/CMC, CLD/STD, SAHF.
-func nfNop(_ *Machine, _ *x86.Uop) error { return nil }
-
-func nfIncReg(m *Machine, u *x86.Uop) error {
-	m.regWrite(u.Reg, u.W, m.regRead(u.Reg, u.W)+1)
-	return nil
-}
-
-func nfDecReg(m *Machine, u *x86.Uop) error {
-	m.regWrite(u.Reg, u.W, m.regRead(u.Reg, u.W)-1)
-	return nil
-}
-
-func nfIncRM(m *Machine, u *x86.Uop) error {
-	m.regWrite(u.RM.Reg, u.W, m.regRead(u.RM.Reg, u.W)+1)
-	return nil
-}
-
-func nfDecRM(m *Machine, u *x86.Uop) error {
-	m.regWrite(u.RM.Reg, u.W, m.regRead(u.RM.Reg, u.W)-1)
-	return nil
-}
-
-func nfNeg(m *Machine, u *x86.Uop) error {
-	m.regWrite(u.RM.Reg, u.W, -m.regRead(u.RM.Reg, u.W))
-	return nil
-}
-
-// uopNFTable maps handler indices to their flag-free variants. A nil
-// entry means the op has no variant and executes in full even when its
-// flag writes are dead.
-var uopNFTable = [uopTableSize]uopFn{
-	x86.UAddRMReg: nfBinRMReg(nfAdd),
-	x86.UAddRegRM: nfBinRegRM(nfAdd),
-	x86.UAddRMImm: nfBinRMImm(nfAdd),
-	x86.UOrRMReg:  nfBinRMReg(nfOr),
-	x86.UOrRegRM:  nfBinRegRM(nfOr),
-	x86.UOrRMImm:  nfBinRMImm(nfOr),
-	x86.UAdcRMReg: nfBinRMReg(nfAdc),
-	x86.UAdcRegRM: nfBinRegRM(nfAdc),
-	x86.UAdcRMImm: nfBinRMImm(nfAdc),
-	x86.USbbRMReg: nfBinRMReg(nfSbb),
-	x86.USbbRegRM: nfBinRegRM(nfSbb),
-	x86.USbbRMImm: nfBinRMImm(nfSbb),
-	x86.UAndRMReg: nfBinRMReg(nfAnd),
-	x86.UAndRegRM: nfBinRegRM(nfAnd),
-	x86.UAndRMImm: nfBinRMImm(nfAnd),
-	x86.USubRMReg: nfBinRMReg(nfSub),
-	x86.USubRegRM: nfBinRegRM(nfSub),
-	x86.USubRMImm: nfBinRMImm(nfSub),
-	x86.UXorRMReg: nfBinRMReg(nfXor),
-	x86.UXorRegRM: nfBinRegRM(nfXor),
-	x86.UXorRMImm: nfBinRMImm(nfXor),
-
-	x86.UCmpRMReg:  nfNop,
-	x86.UCmpRegRM:  nfNop,
-	x86.UCmpRMImm:  nfNop,
-	x86.UTestRMReg: nfNop,
-	x86.UTestRegRM: nfNop,
-	x86.UTestRMImm: nfNop,
-
-	x86.UIncReg: nfIncReg,
-	x86.UIncRM:  nfIncRM,
-	x86.UDecReg: nfDecReg,
-	x86.UDecRM:  nfDecRM,
-	x86.UNeg:    nfNeg,
-
-	x86.UClc:  nfNop,
-	x86.UStc:  nfNop,
-	x86.UCmc:  nfNop,
-	x86.UCld:  nfNop,
-	x86.UStd:  nfNop,
-	x86.USahf: nfNop,
 }

@@ -118,11 +118,17 @@ func randomStreams(visit func(code []byte, regs [x86.NumRegs]uint32)) {
 	}
 }
 
-// TestUopDifferentialFigureCorpus replays the paper's Figure 1/2/3
-// corruption patterns (condition reversal, register-operand flip,
-// branch-offset flip, immediate bit flip) as a fixed corpus through both
-// execution paths.
-func TestUopDifferentialFigureCorpus(t *testing.T) {
+// figureMutant is one program of the Figure corpus: a name and its bytes.
+type figureMutant struct {
+	name string
+	code []byte
+}
+
+// figureCorpus returns the paper's Figure 1/2/3 corruption patterns
+// (condition reversal, register-operand flip, branch-offset flip,
+// immediate bit flip) applied to a small password-check-shaped program,
+// the unmutated program first.
+func figureCorpus() []figureMutant {
 	// A small password-check-shaped program:
 	//   mov eax, [0x2000]   ; rval
 	//   cmp eax, 0
@@ -164,15 +170,24 @@ func TestUopDifferentialFigureCorpus(t *testing.T) {
 		{"group-digit-flip", func(c []byte) { c[6] ^= 1 << 3 }},
 		{"opcode-high-bit", func(c []byte) { c[21] ^= 1 << 6 }},
 	}
-	for _, tc := range corpus {
-		tc := tc
+	out := make([]figureMutant, len(corpus))
+	for i, tc := range corpus {
+		code := append([]byte(nil), base...)
+		tc.mut(code)
+		out[i] = figureMutant{tc.name, code}
+	}
+	return out
+}
+
+// TestUopDifferentialFigureCorpus replays the Figure corpus through both
+// execution paths.
+func TestUopDifferentialFigureCorpus(t *testing.T) {
+	for _, tc := range figureCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			code := append([]byte(nil), base...)
-			tc.mut(code)
 			var regs [x86.NumRegs]uint32
 			regs[x86.ESP] = 0x8000 + 2048
-			mu := diffMachine(t, code, false, regs)
-			ml := diffMachine(t, code, true, regs)
+			mu := diffMachine(t, tc.code, false, regs)
+			ml := diffMachine(t, tc.code, true, regs)
 			stepDiff(t, tc.name, mu, ml, 300)
 		})
 	}
