@@ -18,10 +18,10 @@ import (
 // every retirement decodes afresh and executes through the interpreter
 // switch — under both encodings, and requires byte-identical Stats
 // including per-run Results. Every experiment pokes corrupted bytes over
-// live text, so this exercises the bound micro-ops in frozen snapshot base
-// tables, overlay rebinds after invalidation, stale decodes surviving a
-// poke or a restore, and every fault class the handlers can raise (#UD,
-// #GP, #DE, memory, fetch, fuel, watchdog).
+// live text, so this exercises the bound micro-ops a reused worker
+// machine keeps across restores, rebinds after invalidation, stale
+// decodes surviving a poke or a restore, and every fault class the
+// handlers can raise (#UD, #GP, #DE, memory, fetch, fuel, watchdog).
 func runUopsAblation(t *testing.T, app *target.App, sc target.Scenario) {
 	t.Helper()
 	for _, scheme := range []encoding.Scheme{encoding.SchemeX86, encoding.SchemeParity} {

@@ -83,8 +83,9 @@ func TestICacheWriteInvalidation(t *testing.T) {
 // TestICacheSnapshotRestorePoke mirrors the campaign engine's hot path
 // (engine.go runGroup): capture a snapshot at a breakpoint with a warm
 // cache, then repeatedly restore-poke-run the same machine with different
-// corrupted bytes. Each run must execute its own corruption — neither the
-// snapshot's pristine decode nor the previous run's patch may leak.
+// corrupted bytes. Each run must execute its own corruption — neither a
+// decode of the pristine bytes nor the previous run's patch may leak —
+// while the machine's decodes of untouched code serve the later runs.
 func TestICacheSnapshotRestorePoke(t *testing.T) {
 	m := icacheMachine(t, vm.PermRead|vm.PermExec)
 	m.SetBreakpoint(0x1001) // the jmp: inc eax has retired once
@@ -122,7 +123,7 @@ func TestICacheSnapshotRestorePoke(t *testing.T) {
 		}
 	}
 	if wm.ICacheHits == 0 {
-		t.Errorf("restored machine never hit the shared cache (hits=%d misses=%d)",
+		t.Errorf("restored machine never hit its own cache (hits=%d misses=%d)",
 			wm.ICacheHits, wm.ICacheMisses)
 	}
 }

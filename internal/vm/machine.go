@@ -25,8 +25,8 @@ const DefaultFuel = 2_000_000
 type Tuning struct {
 	// NoICache disables the predecoded instruction cache: Step then
 	// fetches and decodes every instruction from memory bytes and
-	// executes it through the interpreter switch (exec.go), and
-	// Snapshot/Restore carry no decode tables.
+	// executes it through the interpreter switch (exec.go), and the
+	// machine builds no decode tables.
 	NoICache bool `json:"noICache,omitempty"`
 
 	// NoDirtyTracking disables dirty-page write tracking: Restore then

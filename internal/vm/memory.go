@@ -139,9 +139,9 @@ func (r *Region) Contains(addr uint32) bool {
 type Memory struct {
 	regions []*Region // sorted by Base
 
-	// icache is the lazily built predecoded instruction cache (see
-	// icache.go); nil until the machine first decodes an instruction.
-	icache *ICache
+	// icache holds the lazily built predecoded instruction tables (see
+	// icache.go), one per executable region the machine has decoded in.
+	icache []*icacheRegion
 
 	// invalGen counts icache invalidations. A fused trace (trace.go) reads
 	// it before executing each micro-op: a change mid-trace means a store

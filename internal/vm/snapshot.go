@@ -37,14 +37,6 @@ type Snapshot struct {
 	// read-only for the lifetime of a campaign.
 	cfValid map[uint32]struct{}
 
-	// icache is the frozen view of the captured machine's predecoded
-	// instruction tables (nil when it had none). The tables are shared by
-	// reference with every restored machine — the decode work of the
-	// golden prefix is paid once per snapshot, not once per restore — and
-	// are immutable from capture on: the capturing machine's later decodes
-	// go to its private local overlay.
-	icache *icacheSnap
-
 	// tuning is the capturing machine's ablation knobs, inherited by
 	// every machine NewMachine creates from the snapshot.
 	tuning Tuning
@@ -61,7 +53,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		fuel:    m.Fuel,
 		tsc:     m.TSC,
 		cfValid: m.CFValid,
-		icache:  m.Mem.icacheFreeze(),
 		tuning:  m.Tuning,
 	}
 	s.regions = make([]Region, 0, len(m.Mem.Regions()))
@@ -118,6 +109,11 @@ func (s *Snapshot) NewMachine(sys SyscallHandler) *Machine {
 // from any other snapshot, or with NoDirtyTracking set, falls back to the
 // full-image copy.
 //
+// The machine keeps its decode cache: before rewriting a page, Restore
+// voids the decodes over the bytes in it that differ from the snapshot,
+// so the cache keeps describing the bytes the machine holds. A fresh
+// mapping starts with no cache.
+//
 // The syscall handler and the machine's own Tuning are left untouched:
 // callers pair each Restore with the kernel restored for the same run.
 func (m *Machine) Restore(s *Snapshot) error {
@@ -140,6 +136,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		}
 		m.Mem.regions = staged.regions
 		m.Mem.hot = nil
+		m.Mem.icache = nil
 		m.FullRestores++
 		if !m.NoDirtyTracking {
 			for _, r := range m.Mem.regions {
@@ -161,6 +158,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 			// diverge from, so only the written pages need copying.
 			for i, r := range existing {
 				r.Perm = s.regions[i].Perm
+				m.Mem.icacheRevert(r, s.regions[i].Data, true)
 				m.DirtyBytesCopied += uint64(r.copyDirtyFrom(s.regions[i].Data))
 			}
 			if m.ParanoidRestore {
@@ -175,6 +173,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 			for i, r := range existing {
 				src := &s.regions[i]
 				r.Perm = src.Perm
+				m.Mem.icacheRevert(r, src.Data, false)
 				copy(r.Data, src.Data)
 				if m.NoDirtyTracking {
 					r.dirty = nil
@@ -191,15 +190,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.lastSnap = nil
 	} else {
 		m.lastSnap = s
-	}
-
-	// The restored bytes match the snapshot, so the snapshot's frozen
-	// decode tables are coherent for this machine; whatever the previous
-	// run cached for other bytes is not.
-	if m.NoICache {
-		m.Mem.icache = nil
-	} else {
-		m.Mem.icacheInstall(s.icache)
 	}
 
 	m.Regs = s.regs

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"faultsec/internal/x86"
@@ -27,8 +28,16 @@ func buildCounter(t *testing.T) *Machine {
 		0x31, 0xdb,
 		0xcd, 0x80,
 	}
+	return codeMachine(t, code)
+}
+
+// codeMachine maps a copy of code as buildCounter's r-x text at 0x1000,
+// with its 64-byte data region at 0x2000 and 256-byte stack at 0x3000,
+// and starts it at 0x1000.
+func codeMachine(t testing.TB, code []byte) *Machine {
+	t.Helper()
 	mem := NewMemory()
-	if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec, Data: code}); err != nil {
+	if err := mem.Map(&Region{Name: "text", Base: 0x1000, Perm: PermRead | PermExec, Data: append([]byte(nil), code...)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Map(&Region{Name: "data", Base: 0x2000, Perm: PermRead | PermWrite, Data: make([]byte, 64)}); err != nil {
@@ -176,4 +185,129 @@ func TestRestoreLayoutMismatch(t *testing.T) {
 	if err := other.Restore(snap); err == nil {
 		t.Fatal("restore into mismatched layout succeeded, want error")
 	}
+}
+
+// restorePokeCode is buildCounter's loop followed by a straight-line tail
+// of 36 bytes, so the trace fused at 0x100b reaches more than MaxInstLen
+// bytes past its head; 47 bytes in all:
+//
+//	mov ecx, 0          ; b9 00 00 00 00
+//	loop: inc ecx       ; 41
+//	cmp ecx, 10         ; 83 f9 0a
+//	jne loop            ; 75 fa
+//	mov ebx, 1..4       ; bb 0n 00 00 00, four times
+//	mov [0x2000], ecx   ; 89 0c 25 00 20 00 00 (SIB form)
+//	int 0x80 exit       ; b8 01 00 00 00  (eax=1) / 31 db (ebx: xor) / cd 80
+var restorePokeCode = []byte{
+	0xb9, 0x00, 0x00, 0x00, 0x00,
+	0x41,
+	0x83, 0xf9, 0x0a,
+	0x75, 0xfa,
+	0xbb, 0x01, 0x00, 0x00, 0x00,
+	0xbb, 0x02, 0x00, 0x00, 0x00,
+	0xbb, 0x03, 0x00, 0x00, 0x00,
+	0xbb, 0x04, 0x00, 0x00, 0x00,
+	0x89, 0x0c, 0x25, 0x00, 0x20, 0x00, 0x00,
+	0xb8, 0x01, 0x00, 0x00, 0x00,
+	0x31, 0xdb,
+	0xcd, 0x80,
+}
+
+// TestRestorePokeDifferential drives one reused machine through the
+// engine's restore-poke-run cycle over every single-bit flip of
+// restorePokeCode, alternating between a snapshot at the start (s0) and
+// one at the loop head (s1), and between flipped and pristine runs, so
+// restores take both the O(dirty) and the full-copy path over poked and
+// fused code. Each run must end exactly like a NoICache machine restored
+// from the same snapshot with the same flip: the reused machine's decodes
+// and traces must describe the bytes it holds after every restore.
+func TestRestorePokeDifferential(t *testing.T) {
+	m := codeMachine(t, restorePokeCode)
+	s0 := m.Snapshot()
+	m.SetBreakpoint(0x1005)
+	var hit *BreakpointHit
+	if err := m.Run(); !errors.As(err, &hit) {
+		t.Fatalf("run ended with %v, want breakpoint", err)
+	}
+	s1 := m.Snapshot()
+
+	// run restores m from s, pokes flip (a bit index into the program;
+	// -1 pokes nothing) and runs to the end at fusedFuel.
+	run := func(m *Machine, s *Snapshot, flip int) error {
+		if err := m.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		m.ClearBreakpoints()
+		m.Fuel = fusedFuel
+		if flip >= 0 {
+			b := restorePokeCode[flip/8] ^ 1<<(flip%8)
+			if err := m.Mem.Poke(0x1000+uint32(flip/8), []byte{b}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.Run()
+	}
+	cycle := []struct {
+		s    *Snapshot
+		flip bool
+	}{{s0, true}, {s0, false}, {s0, true}, {s1, false}, {s1, true}, {s1, false}, {s1, true}, {s0, false}}
+	wm := s0.NewMachine(exitKernel{})
+	n := 0
+	for flip := 0; flip < 8*len(restorePokeCode); flip++ {
+		for _, c := range cycle {
+			f := -1
+			if c.flip {
+				f = flip
+			}
+			err := run(wm, c.s, f)
+			ref := c.s.NewMachine(exitKernel{})
+			ref.NoICache = true
+			if msg := endDiff(wm, ref, err, run(ref, c.s, f)); msg != "" {
+				t.Fatalf("case %d (snapshot at %#x, %s): %s", n, c.s.EIP(), flipName(f), msg)
+			}
+			n++
+		}
+	}
+	if wm.ICacheHits == 0 || wm.TraceHits == 0 {
+		t.Fatalf("reused machine never hit its cache: icache hits %d, trace hits %d", wm.ICacheHits, wm.TraceHits)
+	}
+	t.Logf("%d cases; icache hits %d, trace hits %d", n, wm.ICacheHits, wm.TraceHits)
+}
+
+// flipName describes a restorePokeCode bit flip (-1: none).
+func flipName(flip int) string {
+	if flip < 0 {
+		return "no flip"
+	}
+	return fmt.Sprintf("flip bit %d of %#x", flip%8, 0x1000+flip/8)
+}
+
+// BenchmarkRestorePokeRun times the campaign engine's per-run cycle on one
+// reused machine: Restore to the loop-head snapshot of restorePokeCode,
+// Poke one byte of the tail (an immediate, so the run still exits), and
+// Run to the exit through fused traces. One op is one run.
+func BenchmarkRestorePokeRun(b *testing.B) {
+	m := codeMachine(b, restorePokeCode)
+	m.SetBreakpoint(0x1005)
+	var hit *BreakpointHit
+	if err := m.Run(); !errors.As(err, &hit) {
+		b.Fatalf("run ended with %v, want breakpoint", err)
+	}
+	s1 := m.Snapshot()
+	wm := s1.NewMachine(exitKernel{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wm.Restore(s1); err != nil {
+			b.Fatal(err)
+		}
+		wm.ClearBreakpoints()
+		if err := wm.Mem.Poke(0x1011, []byte{0x07}); err != nil { // mov ebx, 2 -> mov ebx, 7
+			b.Fatal(err)
+		}
+		var exit *ExitStatus
+		if err := wm.Run(); !errors.As(err, &exit) {
+			b.Fatalf("run ended with %v, want exit", err)
+		}
+	}
+	b.ReportMetric(float64(wm.TraceHits)/float64(b.N), "traceHits/op")
 }

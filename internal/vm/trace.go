@@ -33,10 +33,10 @@ import "faultsec/internal/x86"
 //   - REP string ops never fuse: their handler runs an internal
 //     per-iteration loop with its own Steps/fuel accounting. RDTSC never
 //     fuses so that a fused TSC update scheme never becomes observable.
-//   - Traces are always private to one machine. Snapshots neither capture
-//     nor share them; Restore keeps traces over pristine bytes and drops
-//     the ones over poked spans (icacheInstall), which is what lets decode
-//     and fuse work survive across a whole experiment group.
+//   - Traces are private to one machine, like its decode tables. Restore
+//     keeps traces over pristine bytes and drops the ones over the bytes
+//     it rewrites (icacheRevert), which is what lets decode and fuse work
+//     survive from run to run on a reused machine.
 
 const (
 	// maxTraceUops caps the fused ops per trace; maxTraceBytes caps the
@@ -66,39 +66,19 @@ type trace struct {
 // traceLookup returns the fused trace headed at pc, nil when none has
 // been built (or the slot was invalidated).
 func (m *Memory) traceLookup(pc uint32) *trace {
-	c := m.icache
-	if c == nil {
+	rt, i := m.icacheAt(pc)
+	if rt == nil || rt.traces == nil {
 		return nil
 	}
-	for _, rt := range c.regions {
-		i := pc - rt.base
-		if i >= uint32(len(rt.entries)) {
-			continue
-		}
-		if rt.traces == nil {
-			return nil
-		}
-		return rt.traces[i]
-	}
-	return nil
+	return rt.traces[i]
 }
 
 // buildTrace fuses and caches the trace headed at pc. Returns nil when pc
 // is not in an executable region (the caller's fetch will fault).
 func (m *Machine) buildTrace(pc uint32) *trace {
-	c := m.Mem.icache
-	if c == nil {
-		c = &ICache{}
-		m.Mem.icache = c
-	}
-	rt := c.findRegion(pc)
+	rt := m.Mem.icacheTable(pc)
 	if rt == nil {
-		r := m.Mem.Find(pc)
-		if r == nil || r.Perm&PermExec == 0 {
-			return nil
-		}
-		rt = &icacheRegion{base: r.Base, entries: make([]islot, len(r.Data))}
-		c.regions = append(c.regions, rt)
+		return nil
 	}
 	tr := m.fuseTrace(pc, rt.base+uint32(len(rt.entries)))
 	if rt.traces == nil {

@@ -59,9 +59,9 @@ func TestTraceRunDifferential(t *testing.T) {
 const fusedFuel = 300
 
 // fuseDiff runs code from regs through Run on a machine with traces and on
-// a NoTraces one, both at fusedFuel, and describes the first difference in
-// end error, registers, EIP, flags, Steps, TSC or memory ("" when they
-// agree). It also returns the fused run's trace hits.
+// a NoTraces one, both at fusedFuel, and describes the first difference
+// (endDiff; the fused run is got). It also returns the fused run's trace
+// hits.
 func fuseDiff(t *testing.T, code []byte, regs [x86.NumRegs]uint32) (string, uint64) {
 	t.Helper()
 	run := func(noTraces bool) (*Machine, error) {
@@ -72,19 +72,25 @@ func fuseDiff(t *testing.T, code []byte, regs [x86.NumRegs]uint32) (string, uint
 	}
 	mf, ef := run(false)
 	ms, es := run(true)
-	msg := ""
+	return endDiff(mf, ms, ef, es), mf.TraceHits
+}
+
+// endDiff describes the first difference between two finished runs in end
+// error, registers, EIP, flags, Steps, TSC or memory ("" when they agree);
+// got is the run under test and want its reference.
+func endDiff(got, want *Machine, egot, ewant error) string {
 	switch {
-	case !reflect.DeepEqual(ef, es):
-		msg = fmt.Sprintf("end error: fused %v, stepped %v", ef, es)
-	case mf.Regs != ms.Regs || mf.EIP != ms.EIP || mf.Flags != ms.Flags ||
-		mf.Steps != ms.Steps || mf.TSC != ms.TSC:
-		msg = fmt.Sprintf("end state (err %v):\nfused:   regs=%v eip=%#x flags=%#x steps=%d tsc=%d\nstepped: regs=%v eip=%#x flags=%#x steps=%d tsc=%d",
-			ef, mf.Regs, mf.EIP, mf.Flags, mf.Steps, mf.TSC,
-			ms.Regs, ms.EIP, ms.Flags, ms.Steps, ms.TSC)
-	case !reflect.DeepEqual(memImage(mf), memImage(ms)):
-		msg = "memory images diverge"
+	case !reflect.DeepEqual(egot, ewant):
+		return fmt.Sprintf("end error: got %v, want %v", egot, ewant)
+	case got.Regs != want.Regs || got.EIP != want.EIP || got.Flags != want.Flags ||
+		got.Steps != want.Steps || got.TSC != want.TSC:
+		return fmt.Sprintf("end state (err %v):\ngot:  regs=%v eip=%#x flags=%#x steps=%d tsc=%d\nwant: regs=%v eip=%#x flags=%#x steps=%d tsc=%d",
+			egot, got.Regs, got.EIP, got.Flags, got.Steps, got.TSC,
+			want.Regs, want.EIP, want.Flags, want.Steps, want.TSC)
+	case !reflect.DeepEqual(memImage(got), memImage(want)):
+		return "memory images diverge"
 	}
-	return msg, mf.TraceHits
+	return ""
 }
 
 // TestTraceFusionDifferential runs TestUopDifferentialRandom's byte

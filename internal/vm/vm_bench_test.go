@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"errors"
 	"testing"
 
 	"faultsec/internal/vm"
@@ -61,6 +62,20 @@ func BenchmarkStepALULoopNoICache(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(m.Steps), "retired")
+}
+
+// BenchmarkRunALULoop measures the same loop through Run, which executes
+// it as fused traces the way campaigns do. Fuel is b.N, so one op is one
+// retired instruction and the run ends in OutOfFuel.
+func BenchmarkRunALULoop(b *testing.B) {
+	m := benchMachine(b)
+	m.Fuel = uint64(b.N)
+	b.ResetTimer()
+	var oof *vm.OutOfFuel
+	if err := m.Run(); !errors.As(err, &oof) {
+		b.Fatalf("run ended with %v, want out of fuel", err)
+	}
+	b.ReportMetric(float64(m.TraceHits)/float64(b.N), "traceHits/op")
 }
 
 // branchMachine builds a machine running a jcc-heavy loop: three
