@@ -641,3 +641,149 @@ func TestRegisterLivenessGoldenChain(t *testing.T) {
 		t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
 	}
 }
+
+// The live-checkpoint guard images. In each, an ESI fault at one of
+// check's two targets, its branch and its ret, leaves the run different
+// from the session at a syscall entry, in locations of which some are
+// live there and some are not. A run may stop at a checkpoint only where
+// every location it differs in is dead; one that stops where a live
+// location differs is recorded golden and ends differently. ESI is 4 at
+// both targets, and six registers are dead there: EAX, EBX, ECX and EDX,
+// which the session overwrites before reading, and EBP and EDI, which it
+// never reads. Their 6 × 32 faults per target stop at activation.
+const (
+	// liveThenDeadSrc reads ESI after its first write, deriving the second
+	// write's count from ESI's low two bits. ESI is live at the first
+	// write and dead at the second: a fault in bits 2-31 stops at the
+	// second write, one in bits 0-1 changes the count.
+	liveThenDeadSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 4
+	call check
+` + writeOKSrc + `
+	mov edx, esi
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// stackReloadSrc pushes ESI's value from memory, and clears ESI and
+	// the memory word, so at the first write the run differs from the
+	// session only in the stack slot, which the session pops after the
+	// write into the second write's count. Past the pop the slot is dead:
+	// a fault in bits 2-31 stops at the second write, one in bits 0-1
+	// changes the count. push and pop with a memory operand are the
+	// steps whose stack slot the flow log keeps in its side table.
+	stackReloadSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 4
+	call check
+	mov [tmp], esi
+	mov esi, 0
+	push [tmp]
+	mov [tmp], esi
+` + writeOKSrc + `
+	pop [tmp]
+	mov edx, [tmp]
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+tmp: .dd 0
+msg: .ascii "ok\r\n"
+`
+	// flagAcrossSyscallSrc compares ESI with 4 before the first write and
+	// branches on CF after it. ESI is dead at the write, and so are every
+	// flag but CF: a fault in any bit but bit 2 leaves CF clear and stops
+	// at the first write; one in bit 2 sets it, and the run skips the
+	// second write.
+	flagAcrossSyscallSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 4
+	call check
+	cmp esi, 4
+` + writeOKSrc + `
+	jb skip
+` + writeOKSrc + `
+skip:
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+)
+
+// TestLiveCheckpointGuards checks the liveness-relaxed checkpoint compare
+// on images where a register, a stack slot or a flag that differs at one
+// syscall entry is read after it. Each regflip campaign must converge
+// exactly the runs whose differences are all dead at some checkpoint,
+// and give Stats equal to the naive executor's.
+func TestLiveCheckpointGuards(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		converged int64
+	}{
+		{"liveThenDead", liveThenDeadSrc, 2 * (6*32 + 30)},
+		{"stackReload", stackReloadSrc, 2 * (6*32 + 30)},
+		{"flagAcrossSyscall", flagAcrossSyscallSrc, 2 * (6*32 + 31)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			app, sc := guardApp(t, c.name, c.src)
+			cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip",
+				KeepResults: true, Parallelism: 1}
+			exps, err := campaign.EnumerateConfig(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := campaign.New(cfg)
+			got, err := eng.RunExperiments(context.Background(), exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := eng.Metrics().ConvergedRuns; n != c.converged {
+				t.Errorf("%d runs converged, want %d", n, c.converged)
+			}
+			want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
+				App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1,
+			}, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
+			}
+		})
+	}
+}

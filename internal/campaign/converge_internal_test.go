@@ -64,9 +64,10 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 // Client1. Every campaign records one per target, whose first retirement
 // is the step the target activates at; an activation at another step
 // reports a determinism violation. A bitflip campaign logs no flow, so it
-// finds no register lane dead; a regflip campaign finds every lane of ESI
-// and EDI dead at every activated target, since no ftpd instruction names
-// them.
+// finds no register lane dead and keeps no live set at its checkpoints; a
+// regflip campaign finds every lane of ESI and EDI dead at every activated
+// target, since no ftpd instruction names them, and keeps a live set at
+// every checkpoint.
 func TestShadowLivenessQueries(t *testing.T) {
 	app, err := target.Build("ftpd")
 	if err != nil {
@@ -97,6 +98,11 @@ func TestShadowLivenessQueries(t *testing.T) {
 				if f.dead != 0 {
 					t.Errorf("bitflip campaign logged flow: target %#x has dead lanes %08x", addr, f.dead)
 				}
+			}
+		}
+		for i, cp := range sh.cps {
+			if (cp.live != nil) != (model == "regflip") {
+				t.Errorf("%s: checkpoint %d has live set %v", model, i, cp.live != nil)
 			}
 		}
 		opened := 0

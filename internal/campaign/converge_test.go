@@ -50,9 +50,9 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 		saved       int64
 		interpreted int64
 	}{
-		{"regflip", "ftpd", 8256, 1_101_837_504, 100_794_481},
-		{"regflip", "sshd", 8476, 2_062_921_459, 135_311_109},
-		{"regflip", "httpd", 5010, 351_515_690, 36_424_124},
+		{"regflip", "ftpd", 8880, 1_165_978_842, 36_653_143},
+		{"regflip", "sshd", 8883, 2_106_007_157, 92_225_411},
+		{"regflip", "httpd", 5305, 360_647_033, 27_292_781},
 		{"bitflip", "ftpd", 191, 19_288_258, 16_961_614},
 		{"bitflip", "sshd", 186, 11_816_229, 58_868_992},
 		{"bitflip", "httpd", 111, 2_978_601, 12_821_452},

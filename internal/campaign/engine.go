@@ -607,8 +607,11 @@ type Work struct {
 	FullRestores     int64 `json:"fullRestores"`
 	// ConvergedRuns counts runs stopped at a syscall entry where their
 	// whole state equalled the fault-free session's, apart from poked
-	// bytes the session never retires or reads again, and register faults
-	// into a register dead at their activation, which stop there.
+	// bytes the session never retires or reads again; register-fault runs
+	// stopped at a syscall entry where every register lane, flag and
+	// memory byte they still differed in was dead (not strongly live);
+	// and register faults into lanes dead at their activation, which stop
+	// there.
 	// InstructionsSaved is the golden instructions those runs therefore
 	// did not interpret (golden steps minus each convergence step).
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`

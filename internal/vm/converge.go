@@ -101,6 +101,49 @@ func (m *Machine) MatchesArch(c *Checkpoint) bool {
 // against the checkpoint's copy where it has one, and elsewhere against
 // S, which there equals B. The region layouts are checked here.
 func (m *Machine) MatchesMemory(c *Checkpoint, skip uint32, n int) bool {
+	return m.matchMemory(c, skip, n, nil)
+}
+
+// Live is the strongly live locations of a session at one checkpoint:
+// the register byte lanes, the EFLAGS bits and, per writable region, the
+// live bytes. Memory is kept sparsely: only the 64-byte pages that hold a
+// live byte are listed. A region Mem does not list is compared whole.
+type Live struct {
+	Regs  x86.Lanes
+	Flags uint32
+	Mem   []LivePages
+}
+
+// LivePages is the live bytes of the region at Base: bit i of Bits[j] is
+// byte i of 64-byte page Pages[j]. Pages ascend; a page not listed holds
+// no live byte.
+type LivePages struct {
+	Base  uint32
+	Pages []uint32
+	Bits  []uint64
+}
+
+// MatchesLive is the convergence test relaxed to the locations live at
+// checkpoint c: the step count, EIP and TSC must equal c's, and so must
+// every register lane, EFLAGS bit and memory byte live holds; any other
+// location may differ. The memory compare walks the same union of dirty
+// pages as MatchesMemory, under the same caller guarantee.
+func (m *Machine) MatchesLive(c *Checkpoint, live *Live) bool {
+	if c == nil || m.lastSnap == nil || m.Steps != c.steps || m.EIP != c.eip || m.TSC != c.tsc ||
+		(m.Flags^c.flags)&live.Flags != 0 {
+		return false
+	}
+	for r, v := range m.Regs {
+		if d := v ^ c.regs[r]; d != 0 && x86.MaskLanes(uint8(r), d)&live.Regs != 0 {
+			return false
+		}
+	}
+	return m.matchMemory(c, 0, 0, live)
+}
+
+// matchMemory is MatchesMemory, except that with live non-nil a byte of a
+// region live lists may also differ where it is not live.
+func (m *Machine) matchMemory(c *Checkpoint, skip uint32, n int, live *Live) bool {
 	regions := m.Mem.Regions()
 	if m.lastSnap == nil || len(regions) != len(c.sizes) {
 		return false
@@ -118,7 +161,15 @@ func (m *Machine) MatchesMemory(c *Checkpoint, skip uint32, n int) bool {
 			slo = skip - r.Base
 			shi = slo + uint32(n)
 		}
-		rank := 0
+		var lp *LivePages
+		if live != nil {
+			for j := range live.Mem {
+				if live.Mem[j].Base == r.Base {
+					lp = &live.Mem[j]
+				}
+			}
+		}
+		rank, lj := 0, 0
 		for wi, w := range r.dirty {
 			var cw uint64
 			if cdirty != nil {
@@ -127,36 +178,37 @@ func (m *Machine) MatchesMemory(c *Checkpoint, skip uint32, n int) bool {
 			for u := w | cw; u != 0; {
 				b := uint32(bits.TrailingZeros64(u))
 				u &^= 1 << b
-				lo, hi := r.page(uint32(wi)<<6 | b)
+				p := uint32(wi)<<6 | b
+				lo, hi := r.page(p)
 				want := snap.Data[lo:hi]
 				if cw&(1<<b) != 0 {
 					off := rank * dirtyPageSize
 					want = cpages[off : off+int(hi-lo)]
 					rank++
 				}
-				if !equalOutside(r.Data[lo:hi], want, lo, slo, shi) {
-					return false
+				got := r.Data[lo:hi]
+				if bytes.Equal(got, want) {
+					continue
+				}
+				// dead has bit k set when byte k of the page is not live
+				// and may differ.
+				var dead uint64
+				if lp != nil {
+					for lj < len(lp.Pages) && lp.Pages[lj] < p {
+						lj++
+					}
+					dead = ^uint64(0)
+					if lj < len(lp.Pages) && lp.Pages[lj] == p {
+						dead = ^lp.Bits[lj]
+					}
+				}
+				for k := range got {
+					if got[k] != want[k] && dead>>k&1 == 0 && (lo+uint32(k) < slo || lo+uint32(k) >= shi) {
+						return false
+					}
 				}
 			}
 		}
 	}
 	return true
-}
-
-// equalOutside reports whether the page bytes a and b, which start at
-// region offset lo, are equal everywhere outside the region offsets
-// [slo, shi).
-func equalOutside(a, b []byte, lo, slo, shi uint32) bool {
-	end := lo + uint32(len(a))
-	if shi <= lo || slo >= end {
-		return bytes.Equal(a, b)
-	}
-	s0, s1 := uint32(0), uint32(len(a))
-	if slo > lo {
-		s0 = slo - lo
-	}
-	if shi < end {
-		s1 = shi - lo
-	}
-	return bytes.Equal(a[:s0], b[:s0]) && bytes.Equal(a[s1:], b[s1:])
 }

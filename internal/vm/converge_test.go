@@ -237,3 +237,72 @@ func TestCheckpointAcrossSnapshots(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointLiveCompare checks the liveness-relaxed compare: a run may
+// differ from the checkpoint in register lanes, EFLAGS bits and bytes that
+// are not live there, and in nothing that is, whichever machine dirtied
+// the page. A region the live set does not list is compared whole.
+func TestCheckpointLiveCompare(t *testing.T) {
+	// Live: EBX's low lane, CF, stack bytes 0x3010 and 0x3085, and odd's
+	// byte 0x4041 in its short last page. The data region holds no live
+	// byte; text is not listed.
+	live := &Live{
+		Regs:  x86.RegLanes(x86.EBX, 1),
+		Flags: x86.FlagCF,
+		Mem: []LivePages{
+			{Base: 0x2000},
+			{Base: 0x3000, Pages: []uint32{0, 2}, Bits: []uint64{1 << 0x10, 1 << 5}},
+			{Base: 0x4000, Pages: []uint32{1}, Bits: []uint64{1 << 1}},
+		},
+	}
+	for _, c := range []struct {
+		name        string
+		shadow, run func(t *testing.T, m *Machine)
+		want        bool
+	}{
+		{"identical", nil, nil, true},
+		{"dead lanes", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 0xff00; m.Regs[x86.ESI] ^= 1 }, true},
+		{"dead flags", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagZF | x86.FlagSF }, true},
+		{"dead bytes on pages only the run dirtied", nil, func(t *testing.T, m *Machine) {
+			write8(t, m, 0x2005, 1)
+			write8(t, m, 0x3011, 1)
+			write8(t, m, 0x3084, 1)
+			write8(t, m, 0x4040, 1)
+		}, true},
+		{"dead bytes on pages only the checkpoint dirtied", func(t *testing.T, m *Machine) {
+			write8(t, m, 0x2005, 1)
+			write8(t, m, 0x30c0, 1)
+			write8(t, m, 0x4063, 1)
+		}, nil, true},
+		{"live lane", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 1 }, false},
+		{"live flag bit", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagCF }, false},
+		{"live byte on a page only the run dirtied", nil, func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, false},
+		{"live byte on a page only the checkpoint dirtied", func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, nil, false},
+		{"live byte past a dead one on a later listed page", nil, func(t *testing.T, m *Machine) {
+			write8(t, m, 0x3011, 1)
+			write8(t, m, 0x3085, 1)
+		}, false},
+		{"live byte in a short last page", func(t *testing.T, m *Machine) { write8(t, m, 0x4041, 1) }, nil, false},
+		{"byte of an unlisted region", nil, func(t *testing.T, m *Machine) {
+			if err := m.Mem.Poke(0x1000, []byte{0x90}); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"eip", nil, func(t *testing.T, m *Machine) { m.EIP++ }, false},
+		{"steps", nil, func(t *testing.T, m *Machine) { m.Steps++ }, false},
+		{"tsc", nil, func(t *testing.T, m *Machine) { m.TSC++ }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			shadow, run, _ := convergePair(t)
+			if c.shadow != nil {
+				c.shadow(t, shadow)
+			}
+			if c.run != nil {
+				c.run(t, run)
+			}
+			if got := run.MatchesLive(shadow.Checkpoint(), live); got != c.want {
+				t.Errorf("MatchesLive = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
