@@ -14,12 +14,9 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/castore"
-	"faultsec/internal/encoding"
-	"faultsec/internal/faultmodel"
 	"faultsec/internal/fleet"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
-	"faultsec/internal/vm"
 
 	// Register the built-in target applications; submits resolve them by
 	// registry name and build them lazily.
@@ -33,8 +30,8 @@ import (
 const maxSubmitBytes = 1 << 20
 
 // submitRequest is the POST /campaigns body. Unknown fields are rejected
-// (DisallowUnknownFields), so a typo'd knob fails the submit loudly
-// instead of silently running the wrong ablation.
+// (DisallowUnknownFields), so a typo'd or retired key fails the submit
+// loudly instead of silently running something else.
 type submitRequest struct {
 	App      string `json:"app"`      // a target registry name ("ftpd", "sshd", "httpd")
 	Scenario string `json:"scenario"` // e.g. "Client1"
@@ -47,10 +44,6 @@ type submitRequest struct {
 	Fuel       uint64 `json:"fuel,omitempty"`
 	Parallel   int    `json:"parallelism,omitempty"`
 	Watchdog   bool   `json:"watchdog,omitempty"`
-	// Tuning holds the perf-ablation knobs (noICache, noDirtyTracking,
-	// noTraces; outcomes are identical under any setting). encoding/json
-	// flattens it, so the knobs are top-level keys of the body.
-	vm.Tuning
 	// Journal enables crash-safe journaling (requires -journals). A
 	// resubmission of the same app/scenario/scheme resumes the journal.
 	Journal bool `json:"journal,omitempty"`
@@ -169,7 +162,7 @@ func (r *run) view() campaignView {
 		App:      r.req.App,
 		Scenario: r.req.Scenario,
 		Scheme:   r.req.Scheme,
-		Model:    faultmodel.Canonical(r.req.FaultModel),
+		Model:    r.req.FaultModel,
 		State:    r.state,
 		Resumed:  r.resumed,
 	}
@@ -344,9 +337,9 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 // decodeSubmit decodes and validates a POST /campaigns body without side
 // effects beyond the registry's lazy builds: it returns the request, its
-// names normalized, and the campaign config it asks for, or the 400
-// message. The checks that depend on the daemon (a result store, a journal
-// directory, the workers) are the handler's.
+// scheme and fault model names canonical, and the campaign config it asks
+// for, or the 400 message. The checks that depend on the daemon (a result
+// store, a journal directory, the workers) are the handler's.
 func decodeSubmit(body io.Reader) (submitRequest, campaign.Config, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -354,28 +347,15 @@ func decodeSubmit(body io.Reader) (submitRequest, campaign.Config, error) {
 	if err := dec.Decode(&req); err != nil {
 		return req, campaign.Config{}, fmt.Errorf("bad request body: %v", err)
 	}
-	// Lazy build through the registry: the first submit for an app compiles
-	// it; unknown names are refused with the registered list.
-	app, err := target.Build(req.App)
+	// Lazy build through the registry: the first submit for an app
+	// compiles it; unknown names are refused with the registered list.
+	cfg, err := campaign.Identity{App: req.App, Scenario: req.Scenario, Scheme: req.Scheme,
+		Model: req.FaultModel, Fuel: req.Fuel, Watchdog: req.Watchdog}.Resolve(target.Build)
 	if err != nil {
 		return req, campaign.Config{}, err
 	}
-	sc, ok := app.Scenario(req.Scenario)
-	if !ok {
-		return req, campaign.Config{}, fmt.Errorf("app %s has no scenario %q", req.App, req.Scenario)
-	}
-	scheme, err := encoding.Parse(req.Scheme)
-	if err != nil {
-		return req, campaign.Config{}, fmt.Errorf("unknown scheme %q (have %s)",
-			req.Scheme, strings.Join(encoding.Names(), ", "))
-	}
-	req.Scheme = scheme.Name()
-	model, err := faultmodel.Get(req.FaultModel)
-	if err != nil {
-		return req, campaign.Config{}, fmt.Errorf("unknown fault model %q (have %s)",
-			req.FaultModel, strings.Join(faultmodel.Names(), ", "))
-	}
-	req.FaultModel = model.Name()
+	id := cfg.Identity()
+	req.Scheme, req.FaultModel = id.Scheme, id.Model
 	if req.ShardRuns < 0 || (req.ShardRuns > 0 && len(req.Workers) == 0) {
 		return req, campaign.Config{}, errors.New("shardRuns requires a fleet campaign (non-empty workers)")
 	}
@@ -384,11 +364,7 @@ func decodeSubmit(body io.Reader) (submitRequest, campaign.Config, error) {
 		return req, campaign.Config{}, err
 	}
 	req.CacheMode = cacheMode
-	cfg := campaign.Config{
-		App: app, Scenario: sc, Scheme: scheme, Model: req.FaultModel,
-		Fuel: req.Fuel, Parallelism: req.Parallel, Watchdog: req.Watchdog,
-		Tuning: req.Tuning, CheckpointSync: req.CheckpointSync,
-	}
+	cfg.Parallelism, cfg.CheckpointSync = req.Parallel, req.CheckpointSync
 	if cacheMode != campaign.CacheOff {
 		cfg.CacheMode = cacheMode
 	}
@@ -422,9 +398,9 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		// Bitflip keeps its historical journal name (and with it, resume
 		// compatibility for journals written before fault models existed);
 		// other models get their own file per (app, scenario, scheme).
-		name := fmt.Sprintf("%s-%s-%s.jsonl", req.App, req.Scenario, cfg.Scheme)
+		name := fmt.Sprintf("%s-%s-%s.jsonl", req.App, req.Scenario, req.Scheme)
 		if wire := campaign.WireModel(req.FaultModel); wire != "" {
-			name = fmt.Sprintf("%s-%s-%s-%s.jsonl", req.App, req.Scenario, cfg.Scheme, wire)
+			name = fmt.Sprintf("%s-%s-%s-%s.jsonl", req.App, req.Scenario, req.Scheme, wire)
 		}
 		cfg.Journal = filepath.Join(s.journalDir, name)
 	}

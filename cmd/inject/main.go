@@ -18,6 +18,7 @@ import (
 	"os"
 	"strings"
 
+	"faultsec/internal/campaign"
 	"faultsec/internal/disasm"
 	"faultsec/internal/encoding"
 	"faultsec/internal/faultmodel"
@@ -52,21 +53,18 @@ func run() error {
 	)
 	flag.Parse()
 
-	base, err := target.Build(*appName)
-	if err != nil {
-		return err
-	}
-	sch, err := encoding.Parse(*scheme)
+	cfg, err := campaign.Identity{App: *appName, Scenario: *scenario, Scheme: *scheme,
+		Model: *model}.Resolve(target.Build)
 	if err != nil {
 		return err
 	}
 	// Compile-time schemes rebuild the app; its targets are the hardened
 	// image's.
-	app, err := base.ForScheme(sch)
+	app, err := cfg.App.ForScheme(cfg.Scheme)
 	if err != nil {
 		return err
 	}
-	m, err := faultmodel.Get(*model)
+	m, err := faultmodel.Get(cfg.Model)
 	if err != nil {
 		return err
 	}
@@ -96,14 +94,10 @@ func run() error {
 	}
 	tgt := targets[*index]
 
-	sc, ok := app.Scenario(*scenario)
-	if !ok {
-		return fmt.Errorf("app %s has no scenario %q", app.Name, *scenario)
-	}
 	if n := m.Count(tgt); *mutIdx < 0 || *mutIdx >= n {
 		return fmt.Errorf("%s mutation %d out of range (0..%d at this target)", m.Name(), *mutIdx, n-1)
 	}
-	ex := faultmodel.Experiment(m, tgt, *mutIdx, sch)
+	ex := faultmodel.Experiment(m, tgt, *mutIdx, cfg.Scheme)
 	mut := ex.Mutation()
 
 	fmt.Printf("target:    %s at %#x: %s  (bytes % x)\n", tgt.Func, tgt.Addr,
@@ -123,12 +117,12 @@ func run() error {
 		fmt.Println()
 	}
 
-	golden, err := inject.GoldenRun(app, sc, 0)
+	golden, err := inject.GoldenRun(app, cfg.Scenario, 0)
 	if err != nil {
 		return err
 	}
 	// One execution serves the outcome, the transcript and the trace.
-	session, err := inject.Activate(app, sc, tgt.Addr, 0, nil)
+	session, err := inject.Activate(app, cfg.Scenario, tgt.Addr, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -141,8 +135,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res := inject.ResultFromRun(golden, ex, &end, sc.ShouldGrant, window)
-	fmt.Printf("scenario:  %s/%s (should grant: %v)\n", app.Name, sc.Name, sc.ShouldGrant)
+	res := inject.ResultFromRun(golden, ex, &end, cfg.Scenario.ShouldGrant, window)
+	fmt.Printf("scenario:  %s/%s (should grant: %v)\n", app.Name, cfg.Scenario.Name, cfg.Scenario.ShouldGrant)
 	fmt.Printf("outcome:   %s  location=%s activated=%v granted=%v",
 		res.Outcome, res.Location, res.Activated, res.Granted)
 	if res.Crashed {

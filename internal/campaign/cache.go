@@ -32,7 +32,6 @@ import (
 
 	"faultsec/internal/castore"
 	"faultsec/internal/classify"
-	"faultsec/internal/encoding"
 	"faultsec/internal/faultmodel"
 	"faultsec/internal/image"
 	"faultsec/internal/inject"
@@ -141,7 +140,7 @@ func (ct *cacheTarget) classes() []*classRef {
 
 // engineCache is one run's view of the store: per-target keys for every
 // cacheable target group, built once before execution starts. The
-// identity fields are copied out of the config so entry construction
+// campaign identity is copied out of the config so entry construction
 // does not need the engine back.
 type engineCache struct {
 	store *castore.Store
@@ -152,11 +151,8 @@ type engineCache struct {
 	// entirely, counted neither as hits nor misses.
 	targets map[uint32]*cacheTarget
 
-	app      string
-	scenario string
-	scheme   string
-	model    string
-	img      *image.Image
+	id  Identity
+	img *image.Image
 }
 
 // buildCache derives the per-target cache keys for this run from the
@@ -169,7 +165,6 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 	if err != nil {
 		return nil, err
 	}
-	img := e.cfg.App.Image
 	goldenDig := goldenDigest(golden)
 
 	byAddr := make(map[uint32][]int)
@@ -183,14 +178,11 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 	}
 
 	ec := &engineCache{
-		store:    e.cfg.Cache,
-		write:    e.cfg.CacheMode == CacheReadWrite,
-		targets:  make(map[uint32]*cacheTarget, len(order)),
-		app:      e.cfg.App.Name,
-		scenario: e.cfg.Scenario.Name,
-		scheme:   encoding.SchemeName(e.cfg.Scheme),
-		model:    faultmodel.Canonical(e.cfg.Model),
-		img:      img,
+		store:   e.cfg.Cache,
+		write:   e.cfg.CacheMode == CacheReadWrite,
+		targets: make(map[uint32]*cacheTarget, len(order)),
+		id:      e.cfg.Identity(),
+		img:     e.cfg.App.Image,
 	}
 	for _, addr := range order {
 		indices := byAddr[addr]
@@ -199,7 +191,7 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 		if len(indices) != count || !coversRange(exps, indices, count) {
 			continue
 		}
-		fn, ok := funcContaining(img, addr)
+		fn, ok := funcContaining(ec.img, addr)
 		if !ok {
 			continue
 		}
@@ -219,14 +211,14 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 			}
 		}
 		if len(localLis) > 0 {
-			key, err := e.groupKey(img, fn, t, count, goldenDig, classLocal, localLis)
+			key, err := ec.groupKey(fn, t, count, goldenDig, classLocal, localLis)
 			if err != nil {
 				return nil, err
 			}
 			ct.local = &classRef{class: classLocal, key: key, lis: localLis}
 		}
 		if len(escLis) > 0 {
-			key, err := e.groupKey(img, fn, t, count, goldenDig, classFullText, escLis)
+			key, err := ec.groupKey(fn, t, count, goldenDig, classFullText, escLis)
 			if err != nil {
 				return nil, err
 			}
@@ -347,20 +339,21 @@ func mutationEscapes(ex inject.Experiment, fn image.Func) bool {
 // land anywhere. The covered index list is key material too, so a stale
 // partition (different decode, different escape verdicts) can never
 // validate against a fresh key.
-func (e *Engine) groupKey(img *image.Image, fn image.Func, t inject.Target,
+func (ec *engineCache) groupKey(fn image.Func, t inject.Target,
 	count int, goldenDig, class string, lis []int) (string, error) {
+	img, id := ec.img, &ec.id
 	lo, hi := fn.Start-img.TextBase, fn.End-img.TextBase
 	if int(hi) > len(img.Text) || lo > hi {
 		return "", fmt.Errorf("campaign: function %s extent [%#x,%#x) outside text", fn.Name, fn.Start, fn.End)
 	}
 	h := sha256.New()
 	writeKeyField(h, "campaigncache", fmt.Sprint(enumerationVersion))
-	writeKeyField(h, "app", e.cfg.App.Name)
-	writeKeyField(h, "scenario", e.cfg.Scenario.Name)
-	writeKeyField(h, "scheme", encoding.SchemeName(e.cfg.Scheme))
-	writeKeyField(h, "model", faultmodel.Canonical(e.cfg.Model))
-	writeKeyField(h, "fuel", fmt.Sprint(e.cfg.effectiveFuel()))
-	writeKeyField(h, "watchdog", fmt.Sprint(e.cfg.Watchdog))
+	writeKeyField(h, "app", id.App)
+	writeKeyField(h, "scenario", id.Scenario)
+	writeKeyField(h, "scheme", id.Scheme)
+	writeKeyField(h, "model", id.Model)
+	writeKeyField(h, "fuel", fmt.Sprint(id.Fuel))
+	writeKeyField(h, "watchdog", fmt.Sprint(id.Watchdog))
 	writeKeyField(h, "golden", goldenDig)
 	writeKeyField(h, "func", fmt.Sprintf("%s %#x %#x", fn.Name, fn.Start, fn.End))
 	writeKeyField(h, "section", "")
@@ -440,10 +433,10 @@ func (ec *engineCache) writeBack(addr uint32, ct *cacheTarget, results []inject.
 	for _, ref := range ct.classes() {
 		ent := &cacheEntry{
 			Key:      ref.key,
-			App:      ec.app,
-			Scenario: ec.scenario,
-			Scheme:   ec.scheme,
-			Model:    ec.model,
+			App:      ec.id.App,
+			Scenario: ec.id.Scenario,
+			Scheme:   ec.id.Scheme,
+			Model:    ec.id.Model,
 			Func:     fnName,
 			Addr:     addr,
 			Count:    ct.count,

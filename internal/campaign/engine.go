@@ -83,14 +83,9 @@ type Config struct {
 	KeepResults bool
 	// Watchdog enables the control-flow checker for every run.
 	Watchdog bool
-	// Progress, when non-nil, receives (done, total) after each run.
+	// Progress, when non-nil, receives (done, total) after each recorded
+	// run, concurrently from worker goroutines.
 	Progress func(done, total int)
-	// OnResult, when non-nil, receives every completed fresh run with its
-	// index into the experiment list — the streaming hook fleet workers
-	// use to ship shard results back as they finish. Like Progress it is
-	// called concurrently from worker goroutines; journal-adopted results
-	// are not replayed through it.
-	OnResult func(idx int, res inject.Result)
 
 	// Journal is the path of the JSONL run journal; "" disables
 	// journaling (and with it crash-safety and Resume).

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"faultsec/internal/classify"
-	"faultsec/internal/encoding"
 	"faultsec/internal/faultmodel"
 	"faultsec/internal/inject"
 )
@@ -114,48 +113,45 @@ func (w *WireResult) ToResult(ex inject.Experiment) inject.Result {
 	}
 }
 
-// journalIdentity derives the header record for an engine config.
+// journalIdentity derives the header record for an engine config. The
+// paper's pair keeps its legacy integer scheme code (and no name), every
+// other scheme is carried by name alone.
 func journalIdentity(cfg *Config, total int) journalRecord {
-	code, name := wireScheme(cfg.Scheme)
-	return journalRecord{
-		Type:       recordHeader,
-		App:        cfg.App.Name,
-		Scenario:   cfg.Scenario.Name,
-		Scheme:     code,
-		SchemeName: name,
-		Model:      WireModel(cfg.Model),
-		Total:      total,
-		Fuel:       cfg.effectiveFuel(),
-		Watchdog:   cfg.Watchdog,
+	id := cfg.Identity()
+	rec := journalRecord{
+		Type:     recordHeader,
+		App:      id.App,
+		Scenario: id.Scenario,
+		Model:    WireModel(id.Model),
+		Total:    total,
+		Fuel:     id.Fuel,
+		Watchdog: id.Watchdog,
 	}
-}
-
-// wireScheme splits a scheme into its journal wire form: the paper's pair
-// keeps its legacy integer code (and no name), every other scheme is
-// carried by name alone.
-func wireScheme(s encoding.Scheme) (code int, name string) {
-	switch n := encoding.SchemeName(s); n {
+	switch id.Scheme {
 	case "x86":
-		return 1, ""
+		rec.Scheme = 1
 	case "parity":
-		return 2, ""
+		rec.Scheme = 2
 	default:
-		return 0, n
+		rec.SchemeName = id.Scheme
 	}
+	return rec
 }
 
-// wireSchemeName resolves a header's scheme fields to the canonical scheme
-// name. The name wins when present; otherwise the legacy code decides,
+// identity reads a header record's campaign identity in canonical form.
+// The scheme name wins when present; otherwise the legacy code decides,
 // with 0 — a journal written before the scheme field existed — meaning
 // x86, the only scheme of that era.
-func wireSchemeName(code int, name string) string {
-	if name != "" {
-		return name
+func (r *journalRecord) identity() Identity {
+	scheme := r.SchemeName
+	if scheme == "" {
+		scheme = "x86"
+		if r.Scheme == 2 {
+			scheme = "parity"
+		}
 	}
-	if code == 2 {
-		return "parity"
-	}
-	return "x86"
+	return Identity{App: r.App, Scenario: r.Scenario, Scheme: scheme,
+		Model: faultmodel.Canonical(r.Model), Fuel: r.Fuel, Watchdog: r.Watchdog}
 }
 
 // WireModel is the journal/fleet wire form of a fault-model name: the
@@ -407,32 +403,13 @@ func parseJournal(r io.Reader, path string, want journalRecord) (map[int]*WireRe
 				return nil, fmt.Errorf("campaign: journal %s: duplicate header", path)
 			}
 			sawHeader = true
-			if rec.Model != want.Model {
-				// Called out separately from the identity mismatch below:
-				// model skew means every run index in this journal names a
-				// different injection than the config would enumerate.
-				return nil, fmt.Errorf("campaign: journal %s is for fault model %q; config wants %q "+
-					"(run indices are model-specific — replaying across models would corrupt results)",
-					path, faultmodel.Canonical(rec.Model), faultmodel.Canonical(want.Model))
-			}
-			gotScheme := wireSchemeName(rec.Scheme, rec.SchemeName)
-			wantScheme := wireSchemeName(want.Scheme, want.SchemeName)
-			if gotScheme != wantScheme {
-				// Called out separately for the same reason as model skew:
-				// the experiment tree is scheme-specific (codegen schemes
-				// even enumerate different targets), so a cross-scheme
-				// replay would silently mean different injections.
-				return nil, fmt.Errorf("campaign: journal %s is for scheme %q; config wants %q "+
-					"(run indices are scheme-specific — replaying across schemes would corrupt results)",
-					path, gotScheme, wantScheme)
-			}
-			if rec.App != want.App || rec.Scenario != want.Scenario ||
-				rec.Total != want.Total ||
-				rec.Fuel != want.Fuel || rec.Watchdog != want.Watchdog {
-				return nil, fmt.Errorf("campaign: journal %s is for %s/%s scheme=%s total=%d fuel=%d watchdog=%v; "+
-					"config wants %s/%s scheme=%s total=%d fuel=%d watchdog=%v",
-					path, rec.App, rec.Scenario, gotScheme, rec.Total, rec.Fuel, rec.Watchdog,
-					want.App, want.Scenario, wantScheme, want.Total, want.Fuel, want.Watchdog)
+			// A journal of another identity or total must not seed this
+			// campaign: its run indices would name other injections, or
+			// runs made under another fuel or watchdog setting.
+			if got, wantID := rec.identity(), want.identity(); got != wantID || rec.Total != want.Total {
+				return nil, fmt.Errorf("campaign: journal %s is for %v total=%d; config wants %v total=%d "+
+					"(run indices are specific to the scheme, fault model and enumeration — replaying across them would corrupt results)",
+					path, got, rec.Total, wantID, want.Total)
 			}
 		case recordRun:
 			if !sawHeader {

@@ -107,8 +107,8 @@ func OpenLedger(cfg *Config, exps []inject.Experiment, resume bool) (*Ledger, er
 func (l *Ledger) Experiments() []inject.Experiment { return l.exps }
 
 // Record records the result of experiment idx. The first record of an
-// index wins: it is counted, journaled, and passed to Config.Progress and
-// Config.OnResult (outside the ledger's lock), and Record reports true. A
+// index wins: it is counted, journaled, and reported to Config.Progress
+// (outside the ledger's lock), and Record reports true. A
 // repeat with an equal result is counted as a duplicate and not journaled;
 // a repeat with a different result returns a determinism error.
 func (l *Ledger) Record(idx int, res inject.Result) (bool, error) {
@@ -145,9 +145,6 @@ func (l *Ledger) record(idx int, res inject.Result, cached bool) (bool, error) {
 	}
 	if l.cfg.Progress != nil {
 		l.cfg.Progress(done, len(l.exps))
-	}
-	if l.cfg.OnResult != nil {
-		l.cfg.OnResult(idx, res)
 	}
 	if l.emit != nil {
 		l.emit(idx, res)

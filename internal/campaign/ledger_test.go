@@ -68,7 +68,7 @@ func canceledCtx() context.Context {
 func TestLedgerRecordOnce(t *testing.T) {
 	cfg, exps := fakeCampaign(t, 16, true)
 	var hooks int
-	cfg.OnResult = func(int, inject.Result) { hooks++ }
+	cfg.Progress = func(int, int) { hooks++ }
 	l, err := OpenLedger(cfg, exps, false)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestLedgerRecordOnce(t *testing.T) {
 		t.Errorf("tally %+v, want Done 1 and Duplicates 1", got)
 	}
 	if hooks != 1 {
-		t.Errorf("OnResult fired %d times, want once", hooks)
+		t.Errorf("Progress fired %d times, want once", hooks)
 	}
 	if n := journalLines(t, cfg.Journal, recordRun); n != 1 {
 		t.Errorf("journal holds %d run records, want 1", n)

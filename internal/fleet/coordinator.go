@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"faultsec/internal/campaign"
-	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
 )
 
@@ -428,13 +427,14 @@ func (c *Coordinator) setAttemptCancel(ws *workerState, cancel context.CancelFun
 	c.mu.Unlock()
 }
 
+// specFor builds the lease of sh from the campaign identity. The fuel
+// travels as the config gives it, 0 for the default budget.
 func (c *Coordinator) specFor(sh *shardState) ShardSpec {
 	cc := &c.cfg.Campaign
+	id := cc.Identity()
 	return ShardSpec{
-		App: cc.App.Name, Scenario: cc.Scenario.Name, Scheme: encoding.SchemeName(cc.Scheme),
-		Model: campaign.WireModel(cc.Model),
-		Fuel:  cc.Fuel, Parallelism: cc.Parallelism, Watchdog: cc.Watchdog,
-		Tuning: cc.Tuning, CacheMode: cc.CacheMode,
+		App: id.App, Scenario: id.Scenario, Scheme: id.Scheme, Model: campaign.WireModel(id.Model),
+		Fuel: cc.Fuel, Parallelism: cc.Parallelism, Watchdog: id.Watchdog, CacheMode: cc.CacheMode,
 		Total: len(c.led.Load().Experiments()), Shard: sh.id, Indices: sh.pending,
 	}
 }

@@ -35,7 +35,6 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/inject"
-	"faultsec/internal/vm"
 )
 
 // Worker paths served by a worker node (any campaignd instance).
@@ -65,10 +64,10 @@ type Worker interface {
 }
 
 // ShardSpec is the wire form of one shard lease: the campaign identity
-// plus the global experiment indices to execute. The worker re-derives
-// the enumeration from the identity and validates Total against it, so a
-// coordinator and worker built from diverging trees fail loudly instead
-// of mixing index spaces.
+// plus the global experiment indices to execute. The worker resolves the
+// identity, re-derives the enumeration from it and validates Total
+// against it, so a coordinator and worker built from diverging trees fail
+// loudly instead of mixing index spaces.
 type ShardSpec struct {
 	App      string `json:"app"`
 	Scenario string `json:"scenario"`
@@ -77,13 +76,12 @@ type ShardSpec struct {
 	// (campaign.WireModel), matching the journal-header convention. A
 	// worker that does not recognize the model refuses the shard loudly —
 	// a model-skewed fleet must not mix index spaces.
-	Model       string `json:"model,omitempty"`
+	Model string `json:"model,omitempty"`
+	// Fuel is the campaign config's fuel as given: 0 (omitted) for the
+	// default budget.
 	Fuel        uint64 `json:"fuel,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	Watchdog    bool   `json:"watchdog,omitempty"`
-	// Tuning carries the campaign's VM ablation knobs; encoding/json
-	// flattens it into the noICache, noDirtyTracking and noTraces keys.
-	vm.Tuning
 	// CacheMode is the campaign's content-addressed cache mode ("",
 	// "off", "read", "readwrite"). A worker honors it only when it has a
 	// local result store configured; the coordinator consults its own
@@ -98,12 +96,19 @@ type ShardSpec struct {
 	Indices []int `json:"indices"`
 }
 
+// Identity returns the campaign identity the spec carries, as sent: a
+// worker resolves it (campaign.Identity.Resolve) to run the shard.
+func (s *ShardSpec) Identity() campaign.Identity {
+	return campaign.Identity{App: s.App, Scenario: s.Scenario, Scheme: s.Scheme,
+		Model: s.Model, Fuel: s.Fuel, Watchdog: s.Watchdog}
+}
+
 // Config parameterizes one fleet campaign.
 type Config struct {
 	// Campaign is the campaign identity and knobs. Journal (if set) is
 	// the coordinator's authoritative journal; Parallelism travels in the
-	// shard spec and sizes each worker's engine pool; Progress and
-	// OnResult fire on the coordinator as results arrive.
+	// shard spec and sizes each worker's engine pool; Progress fires on
+	// the coordinator as results arrive.
 	Campaign campaign.Config
 	// Workers is the worker pool. Empty means one in-process loopback
 	// worker over Campaign.App — the single-node degenerate case.

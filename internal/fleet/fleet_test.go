@@ -313,7 +313,7 @@ func TestFleetJournalCancelResume(t *testing.T) {
 			cfg := fleetConfig(app, sc,
 				fleet.NewLoopback("w0", app), fleet.NewLoopback("w1", app))
 			cfg.Campaign.Journal = journal
-			cfg.Campaign.OnResult = func(int, inject.Result) {
+			cfg.Campaign.Progress = func(int, int) {
 				if seen.Add(1) == 40 {
 					cancel()
 				}

@@ -10,7 +10,6 @@ import (
 
 	"faultsec/internal/campaign"
 	"faultsec/internal/castore"
-	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
 )
@@ -52,50 +51,37 @@ func mapResolver(apps map[string]*target.App) AppResolver {
 	}
 }
 
-// prepareShard resolves a spec against the worker's app resolver and
-// returns the closure that executes it. Resolution errors (unknown app,
-// scenario, scheme, an enumeration that does not match Total, an index
-// out of range) surface here, before any result is produced, so the HTTP
-// handler can still answer 400.
+// prepareShard resolves a spec's identity against the worker's app
+// resolver and returns the closure that executes it. Resolution errors
+// (unknown app, scenario, scheme or model, an enumeration that does not
+// match Total, an index out of range) surface here, before any result is
+// produced, so the HTTP handler can still answer 400.
 func prepareShard(resolve AppResolver, spec *ShardSpec,
 	cache *castore.Store) (func(ctx context.Context, emit emitFunc) (campaign.Work, error), error) {
-	app, err := resolve(spec.App)
+	cfg, err := spec.Identity().Resolve(resolve)
 	if err != nil {
 		return nil, err
 	}
-	sc, ok := app.Scenario(spec.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("fleet: app %s has no scenario %q", spec.App, spec.Scenario)
-	}
-	scheme, err := encoding.Parse(spec.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
 	cacheMode, err := campaign.NormalizeCacheMode(spec.CacheMode)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
+		return nil, err
 	}
-	cfg := campaign.Config{
-		App: app, Scenario: sc, Scheme: scheme, Model: spec.Model,
-		Fuel: spec.Fuel, Parallelism: spec.Parallelism, Watchdog: spec.Watchdog,
-		Tuning: spec.Tuning,
-	}
+	cfg.Parallelism = spec.Parallelism
 	if cache != nil {
 		cfg.CacheMode = cacheMode
 		cfg.Cache = cache
 	}
-	// EnumerateConfig resolves spec.Model through the worker's own
-	// faultmodel registry: a model this build does not know is refused
-	// here (400 on the HTTP path), and a model whose enumeration size
-	// disagrees with the coordinator's trips the Total check below — the
-	// two loud failure modes for a model-skewed fleet.
+	// A scheme or model this build does not know was refused above (400
+	// on the HTTP path); one whose enumeration size disagrees with the
+	// coordinator's trips the Total check — the two loud failure modes
+	// for a skewed fleet.
 	exps, err := campaign.EnumerateConfig(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	if len(exps) != spec.Total {
-		return nil, fmt.Errorf("fleet: enumeration mismatch for %s/%s/%s model=%s: worker has %d experiments, coordinator %d (version skew?)",
-			spec.App, spec.Scenario, spec.Scheme, inject.ModelOf(exps), len(exps), spec.Total)
+		return nil, fmt.Errorf("fleet: enumeration mismatch for %v: worker has %d experiments, coordinator %d (version skew?)",
+			cfg.Identity(), len(exps), spec.Total)
 	}
 	shard := make([]inject.Experiment, len(spec.Indices))
 	globals := make([]int, len(spec.Indices))

@@ -20,24 +20,25 @@ const DefaultFuel = 2_000_000
 // Tuning is the set of ablation knobs. Each one turns off a fast path
 // whose outcomes the identity tests pin to the path it replaces, so a
 // knob changes speed, never results; the zero value is the production
-// configuration. The JSON form is the campaignd submit body's and the
-// fleet shard spec's: both embed Tuning, and encoding/json flattens it.
+// configuration. Tuning is set in process only (vm.Machine and
+// campaign.Config embed it, for the ablation identity tests and the
+// golden shadow); no wire form carries it.
 type Tuning struct {
 	// NoICache disables the predecoded instruction cache: Step then
 	// fetches and decodes every instruction from memory bytes and
 	// executes it through the interpreter switch (exec.go), and the
 	// machine builds no decode tables.
-	NoICache bool `json:"noICache,omitempty"`
+	NoICache bool
 
 	// NoDirtyTracking disables dirty-page write tracking: Restore then
 	// copies every region's full bytes back from the snapshot instead of
 	// only the pages written since the last restore.
-	NoDirtyTracking bool `json:"noDirtyTracking,omitempty"`
+	NoDirtyTracking bool
 
 	// NoTraces disables superblock trace fusion: Step then dispatches
 	// every retirement individually through the micro-op table instead of
 	// executing fused straight-line traces (trace.go).
-	NoTraces bool `json:"noTraces,omitempty"`
+	NoTraces bool
 }
 
 // Counters counts a machine's fast-path work. It is measurement state,
