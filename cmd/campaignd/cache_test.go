@@ -52,6 +52,34 @@ func TestServiceCacheWarmResubmit(t *testing.T) {
 	}
 }
 
+// TestServiceFleetCacheSingleWriter: in a fleet campaign the coordinator
+// is the result store's only writer. A cold readwrite submit over a
+// loopback worker reports as many fleet cache writes as the daemon's
+// store holds entries: no worker wrote one that the coordinator then
+// found already there.
+func TestServiceFleetCacheSingleWriter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign is not short")
+	}
+	ts, srv := newTestServiceIn(t, t.TempDir())
+	v := postCampaign(t, ts,
+		`{"app":"ftpd","scenario":"Client1","cacheMode":"readwrite","workers":["loopback"]}`)
+	if got := waitDone(t, ts, v.ID); got.State != stateDone {
+		t.Fatalf("fleet campaign ended %q: %s", got.State, got.Error)
+	}
+	var m metricsView
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", code)
+	}
+	keys, err := srv.cache.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm := m.Fleet[v.ID]; fm.CacheWrites == 0 || fm.CacheWrites != int64(len(keys)) {
+		t.Errorf("fleet reports %d cache writes; the store holds %d entries", fm.CacheWrites, len(keys))
+	}
+}
+
 // TestServiceCacheModeValidation pins the two submit-time refusals: an
 // unknown cacheMode, and any cache mode on a daemon running without a
 // journal directory (there is nowhere to put the store).

@@ -45,7 +45,8 @@ type submitRequest struct {
 	Parallel   int    `json:"parallelism,omitempty"`
 	Watchdog   bool   `json:"watchdog,omitempty"`
 	// Journal enables crash-safe journaling (requires -journals). A
-	// resubmission of the same app/scenario/scheme resumes the journal.
+	// resubmission of the same campaign identity (app, scenario, scheme,
+	// model, fuel, watchdog) resumes the journal.
 	Journal bool `json:"journal,omitempty"`
 	// CheckpointSync fsyncs periodic journal checkpoints (the final
 	// checkpoint is always synced). Costs one fsync per checkpoint
@@ -210,7 +211,7 @@ type server struct {
 	order   []string // insertion order for listing
 	closing bool     // set by Shutdown; rejects new submissions
 	// journals maps an active journal path to the run id writing it. A
-	// second journaled submit of the same app/scenario/scheme while the
+	// second journaled submit of the same campaign identity while the
 	// first still runs is refused with 409: two writers on one JSONL file
 	// would interleave records into corruption.
 	journals map[string]string
@@ -246,9 +247,6 @@ func newServer(journalDir string) (*server, error) {
 	// (in-flight shards finish; a coordinator that loses one to our exit
 	// sees a truncated stream and re-leases it elsewhere).
 	s.worker = fleet.NewWorkerServerResolver(target.Build, s.drainGate)
-	if s.cache != nil {
-		s.worker.SetCache(s.cache)
-	}
 	s.mux.Handle(fleet.PathShards, s.worker)
 	return s, nil
 }
@@ -382,7 +380,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 			"cacheMode %q requested but campaignd runs without -journals (the result store lives under the journal directory)", cfg.CacheMode)
 		return
 	}
-	workers, err := s.buildWorkers(req.Workers)
+	workers, err := buildWorkers(req.Workers)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -395,14 +393,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "journaling requested but campaignd runs without -journals")
 			return
 		}
-		// Bitflip keeps its historical journal name (and with it, resume
-		// compatibility for journals written before fault models existed);
-		// other models get their own file per (app, scenario, scheme).
-		name := fmt.Sprintf("%s-%s-%s.jsonl", req.App, req.Scenario, req.Scheme)
-		if wire := campaign.WireModel(req.FaultModel); wire != "" {
-			name = fmt.Sprintf("%s-%s-%s-%s.jsonl", req.App, req.Scenario, req.Scheme, wire)
-		}
-		cfg.Journal = filepath.Join(s.journalDir, name)
+		cfg.Journal = filepath.Join(s.journalDir, journalName(cfg.Identity()))
 	}
 
 	s.mu.Lock()
@@ -416,8 +407,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		if holder, busy := s.journals[cfg.Journal]; busy {
 			s.mu.Unlock()
 			writeErr(w, http.StatusConflict,
-				"journal for %s/%s/%s model=%s is being written by campaign %s; cancel it or wait",
-				req.App, req.Scenario, req.Scheme, req.FaultModel, holder)
+				"journal for %s is being written by campaign %s; cancel it or wait", cfg.Identity(), holder)
 			return
 		}
 		if _, err := os.Stat(cfg.Journal); err == nil {
@@ -485,21 +475,37 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, rn.view())
 }
 
+// journalName names the journal of the campaign id under the journal
+// directory: <app>-<scenario>-<scheme>, then the model unless it is
+// bitflip, the fuel unless it is the default, and "-watchdog" when the
+// watchdog is on. Every part of the identity that can differ is in the
+// name, so two campaigns never share a file, and a default campaign keeps
+// its historical name, so journals written before a part was added still
+// resume.
+func journalName(id campaign.Identity) string {
+	name := fmt.Sprintf("%s-%s-%s", id.App, id.Scenario, id.Scheme)
+	if wire := campaign.WireModel(id.Model); wire != "" {
+		name += "-" + wire
+	}
+	if id.Fuel != inject.DefaultFuel {
+		name += fmt.Sprintf("-fuel%d", id.Fuel)
+	}
+	if id.Watchdog {
+		name += "-watchdog"
+	}
+	return name + ".jsonl"
+}
+
 // buildWorkers resolves the submit request's worker list: "loopback"
 // becomes an in-process worker resolving apps through the target
-// registry, anything else must be a worker base URL.
-func (s *server) buildWorkers(specs []string) ([]fleet.Worker, error) {
+// registry, anything else must be a worker base URL. Workers run shards
+// cache-free: the coordinator is the result store's only user.
+func buildWorkers(specs []string) ([]fleet.Worker, error) {
 	workers := make([]fleet.Worker, 0, len(specs))
 	for i, spec := range specs {
 		switch {
 		case spec == "loopback":
-			lb := fleet.NewLoopbackResolver(fmt.Sprintf("loopback%d", i), target.Build)
-			if s.cache != nil {
-				// Loopback workers share the daemon's result store, like
-				// the HTTP worker endpoint does.
-				lb.SetCache(s.cache)
-			}
-			workers = append(workers, lb)
+			workers = append(workers, fleet.NewLoopbackResolver(fmt.Sprintf("loopback%d", i), target.Build))
 		case strings.HasPrefix(spec, "http://") || strings.HasPrefix(spec, "https://"):
 			workers = append(workers, fleet.NewHTTPWorker(spec, nil))
 		default:

@@ -124,6 +124,9 @@ type cacheTarget struct {
 	byLi   []int // exps index per local mutation index; len == count
 	local  *classRef
 	escape *classRef
+	// left counts the range's indices the ledger has not recorded yet;
+	// the ledger's lock guards it.
+	left int
 }
 
 // classes iterates the target's non-nil class refs.
@@ -138,11 +141,14 @@ func (ct *cacheTarget) classes() []*classRef {
 	return refs
 }
 
-// engineCache is one run's view of the store: per-target keys for every
-// cacheable target group, built once before execution starts. The
+// cacheView is one campaign's handle on the result cache: per-target keys
+// for every cacheable target group, built once before execution starts,
+// and the counters of every adoption and write-back made through it. The
 // campaign identity is copied out of the config so entry construction
-// does not need the engine back.
-type engineCache struct {
+// does not need the config back. Only the campaign's Ledger holds one: it
+// adopts through it before any group is scheduled or shard leased, and
+// writes back through it as fresh records complete target groups.
+type cacheView struct {
 	store *castore.Store
 	write bool
 	// targets maps target address to key material; addresses absent here
@@ -153,15 +159,20 @@ type engineCache struct {
 
 	id  Identity
 	img *image.Image
+
+	mu sync.Mutex
+	n  CacheCounters
 }
 
-// buildCache derives the per-target cache keys for this run from the
-// fault-free session golden. Targets whose experiments do not cover their
-// full local mutation range exactly once (random campaigns, hand-built
-// experiment lists) are skipped: an entry must always hold a target's
-// complete range so any subset of pending indices can adopt from it.
-func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (*CacheView, error) {
-	model, err := faultmodel.Get(e.cfg.Model)
+// buildCache derives the per-target cache keys of cfg's campaign over exps
+// from the fault-free session golden. cfg.App must already be
+// scheme-resolved (EnumerateConfig does that). Targets whose experiments
+// do not cover their full local mutation range exactly once (random
+// campaigns, hand-built experiment lists) are skipped: an entry must
+// always hold a target's complete range so any subset of pending indices
+// can adopt from it.
+func buildCache(cfg *Config, exps []inject.Experiment, golden *classify.Golden) (*cacheView, error) {
+	model, err := faultmodel.Get(cfg.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +188,12 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 		byAddr[addr] = append(byAddr[addr], i)
 	}
 
-	ec := &engineCache{
-		store:   e.cfg.Cache,
-		write:   e.cfg.CacheMode == CacheReadWrite,
+	v := &cacheView{
+		store:   cfg.Cache,
+		write:   cfg.CacheMode == CacheReadWrite,
 		targets: make(map[uint32]*cacheTarget, len(order)),
-		id:      e.cfg.Identity(),
-		img:     e.cfg.App.Image,
+		id:      cfg.Identity(),
+		img:     cfg.App.Image,
 	}
 	for _, addr := range order {
 		indices := byAddr[addr]
@@ -191,7 +202,7 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 		if len(indices) != count || !coversRange(exps, indices, count) {
 			continue
 		}
-		fn, ok := funcContaining(ec.img, addr)
+		fn, ok := funcContaining(v.img, addr)
 		if !ok {
 			continue
 		}
@@ -211,22 +222,22 @@ func (e *Engine) buildCache(exps []inject.Experiment, golden *classify.Golden) (
 			}
 		}
 		if len(localLis) > 0 {
-			key, err := ec.groupKey(fn, t, count, goldenDig, classLocal, localLis)
+			key, err := v.groupKey(fn, t, count, goldenDig, classLocal, localLis)
 			if err != nil {
 				return nil, err
 			}
 			ct.local = &classRef{class: classLocal, key: key, lis: localLis}
 		}
 		if len(escLis) > 0 {
-			key, err := ec.groupKey(fn, t, count, goldenDig, classFullText, escLis)
+			key, err := v.groupKey(fn, t, count, goldenDig, classFullText, escLis)
 			if err != nil {
 				return nil, err
 			}
 			ct.escape = &classRef{class: classFullText, key: key, lis: escLis}
 		}
-		ec.targets[addr] = ct
+		v.targets[addr] = ct
 	}
-	return &CacheView{ec: ec}, nil
+	return v, nil
 }
 
 // coversRange reports whether the experiments at indices cover local
@@ -339,9 +350,9 @@ func mutationEscapes(ex inject.Experiment, fn image.Func) bool {
 // land anywhere. The covered index list is key material too, so a stale
 // partition (different decode, different escape verdicts) can never
 // validate against a fresh key.
-func (ec *engineCache) groupKey(fn image.Func, t inject.Target,
+func (v *cacheView) groupKey(fn image.Func, t inject.Target,
 	count int, goldenDig, class string, lis []int) (string, error) {
-	img, id := ec.img, &ec.id
+	img, id := v.img, &v.id
 	lo, hi := fn.Start-img.TextBase, fn.End-img.TextBase
 	if int(hi) > len(img.Text) || lo > hi {
 		return "", fmt.Errorf("campaign: function %s extent [%#x,%#x) outside text", fn.Name, fn.Start, fn.End)
@@ -383,8 +394,8 @@ var errEntryInvalid = errors.New("campaign: cache entry failed validation")
 
 // load fetches and validates one class entry. Every failure is a miss; a
 // corrupted or semantically invalid entry can never surface results.
-func (ec *engineCache) load(ref *classRef, count int) (*cacheEntry, error) {
-	payload, err := ec.store.Get(ref.key)
+func (v *cacheView) load(ref *classRef, count int) (*cacheEntry, error) {
+	payload, err := v.store.Get(ref.key)
 	if err != nil {
 		return nil, err
 	}
@@ -419,24 +430,23 @@ func (ec *engineCache) load(ref *classRef, count int) (*cacheEntry, error) {
 	return &ent, nil
 }
 
-// writeBack persists one completed group's classes (up to two entries).
-// results holds the group's results by local mutation index. Returns how
-// many new entries landed on disk — duplicate writes of identical content
+// writeBack persists one completed group's classes (up to two entries)
+// and counts the entries that landed on disk. results holds the group's
+// results by local mutation index. Duplicate writes of identical content
 // are verified no-ops, and a content mismatch under the same key fails
 // loudly (it would mean the key missed an input the outcome depends on).
-func (ec *engineCache) writeBack(addr uint32, ct *cacheTarget, results []inject.Result) (int, error) {
+func (v *cacheView) writeBack(addr uint32, ct *cacheTarget, results []inject.Result) error {
 	var fnName string
-	if fn, ok := funcContaining(ec.img, addr); ok {
+	if fn, ok := funcContaining(v.img, addr); ok {
 		fnName = fn.Name
 	}
-	wrote := 0
 	for _, ref := range ct.classes() {
 		ent := &cacheEntry{
 			Key:      ref.key,
-			App:      ec.id.App,
-			Scenario: ec.id.Scenario,
-			Scheme:   ec.id.Scheme,
-			Model:    ec.id.Model,
+			App:      v.id.App,
+			Scenario: v.id.Scenario,
+			Scheme:   v.id.Scheme,
+			Model:    v.id.Model,
 			Func:     fnName,
 			Addr:     addr,
 			Count:    ct.count,
@@ -452,17 +462,17 @@ func (ec *engineCache) writeBack(addr uint32, ct *cacheTarget, results []inject.
 		}
 		payload, err := json.Marshal(ent)
 		if err != nil {
-			return wrote, err
+			return err
 		}
-		w, err := ec.store.Put(ref.key, payload)
+		wrote, err := v.store.Put(ref.key, payload)
 		if err != nil {
-			return wrote, err
+			return err
 		}
-		if w {
-			wrote++
+		if wrote {
+			v.count(CacheCounters{CacheWrites: 1})
 		}
 	}
-	return wrote, nil
+	return nil
 }
 
 // CacheCounters is the result cache's counter record: runs adopted from
@@ -486,52 +496,33 @@ func (c *CacheCounters) Add(o CacheCounters) {
 	c.CacheInvalid += o.CacheInvalid
 }
 
-// CacheView is one campaign's handle on the result cache: the key
-// derivation and entry validation per target group, with the counters of
-// every adoption and write-back made through it. A campaign's Ledger
-// adopts through it before any group is scheduled or shard leased; the
-// engine writes back as groups complete, a fleet coordinator when shards
-// settle. Its methods are safe for concurrent use.
-type CacheView struct {
-	ec *engineCache
-
-	mu sync.Mutex
-	n  CacheCounters
-}
-
-// NewCacheView builds a cache view for cfg over its full experiment
-// enumeration (cfg.App must already be scheme-resolved — EnumerateConfig
-// does that). It returns (nil, nil) when cfg's cache is off. The
-// fault-free golden session runs once here: its observables are part of
-// every key (see the coherence discussion at the top of this file).
-func NewCacheView(cfg Config, exps []inject.Experiment) (*CacheView, error) {
-	if !cfg.cacheActive() {
-		return nil, nil
-	}
-	golden, err := inject.GoldenRun(cfg.App, cfg.Scenario, cfg.effectiveFuel())
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg).buildCache(exps, golden)
-}
-
-func (v *CacheView) count(d CacheCounters) {
+func (v *cacheView) count(d CacheCounters) {
 	v.mu.Lock()
 	v.n.Add(d)
 	v.mu.Unlock()
 }
 
-// Adopt consults the store for the target group at addr, class by class,
-// and calls adopt with the rehydrated result of every pending experiment
+// counters reports the view's counters; zero on a nil view (cache off).
+func (v *cacheView) counters() CacheCounters {
+	if v == nil {
+		return CacheCounters{}
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.n
+}
+
+// adopt consults the store for the target group at addr, class by class,
+// and calls record with the rehydrated result of every pending experiment
 // a valid entry covers (indices already adopted from a journal are simply
 // not requested), in class order and pending order within a class. It
 // returns the indices still pending, in their original order. A partial
 // adoption is normal on a rebuilt image: the function-keyed local class
 // hits while the whole-text-keyed escape class misses, and only the
 // latter's mutations re-execute.
-func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
-	adopt func(idx int, res inject.Result)) []int {
-	ct, ok := v.ec.targets[addr]
+func (v *cacheView) adopt(addr uint32, exps []inject.Experiment, pending []int,
+	record func(idx int, res inject.Result)) []int {
+	ct, ok := v.targets[addr]
 	if !ok {
 		return pending
 	}
@@ -552,7 +543,7 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
 		if len(mine) == 0 {
 			continue
 		}
-		ent, err := v.ec.load(ref, ct.count)
+		ent, err := v.load(ref, ct.count)
 		if err != nil {
 			miss := CacheCounters{CacheMisses: int64(len(mine))}
 			var ce *castore.CorruptError
@@ -564,38 +555,9 @@ func (v *CacheView) Adopt(addr uint32, exps []inject.Experiment, pending []int,
 		}
 		v.count(CacheCounters{CacheHits: int64(len(mine))})
 		for _, idx := range mine {
-			adopt(idx, ent.Results[pos[exps[idx].ModelIdx]].ToResult(exps[idx]))
+			record(idx, ent.Results[pos[exps[idx].ModelIdx]].ToResult(exps[idx]))
 		}
 		rem = rest
 	}
 	return rem
-}
-
-// StoreGroup persists the completed target group at addr (up to one entry
-// per class) when the view is in readwrite mode, the group is cacheable,
-// and l has a result for every index of its full local range, and counts
-// the entries that landed on disk. Duplicate identical writes are verified
-// no-ops; a same-key content mismatch fails loudly.
-func (v *CacheView) StoreGroup(addr uint32, l *Ledger) error {
-	ct, ok := v.ec.targets[addr]
-	if !ok || !v.ec.write {
-		return nil
-	}
-	results, complete := l.recorded(ct.byLi)
-	if !complete {
-		return nil
-	}
-	wrote, err := v.ec.writeBack(addr, ct, results)
-	v.count(CacheCounters{CacheWrites: int64(wrote)})
-	return err
-}
-
-// Counters reports the view's counters; zero on a nil view (cache off).
-func (v *CacheView) Counters() CacheCounters {
-	if v == nil {
-		return CacheCounters{}
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.n
 }

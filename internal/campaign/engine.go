@@ -381,30 +381,21 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 		return led.Finish(ctx, err)
 	}
 
-	groups := led.pending()
-	e.groupsTotal.Store(int64(len(groups)))
-
 	runCtx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
 	c := &campaignRun{e: e, led: led, exps: led.Experiments(), fail: fail}
 
-	// Cache adoption: consult the content-addressed store for every pending
-	// group before any execution is scheduled. The ledger records adopted
-	// runs like executed ones (journaled, streamed, counted), so a warm
-	// campaign is indistinguishable downstream from a cold one; the
-	// remaining groups are the delta that actually executes.
-	var cv *CacheView
-	if e.cfg.cacheActive() {
-		if cv, err = e.buildCache(c.exps, golden); err != nil {
-			fail(err)
-		} else if err = led.AdoptCache(runCtx, cv); err != nil {
-			fail(err)
-		} else {
-			rem := led.pending()
-			e.groupsDone.Add(int64(len(groups) - len(rem)))
-			groups = rem
-		}
+	// Cache adoption comes before any execution is scheduled. The ledger
+	// records adopted runs like executed ones (journaled, streamed,
+	// counted), so a warm campaign is indistinguishable downstream from a
+	// cold one; the groups left pending are the delta that executes.
+	adopted, err := led.AdoptCache(runCtx, golden)
+	if err != nil {
+		fail(err)
 	}
+	groups := led.pending()
+	e.groupsTotal.Store(int64(adopted + len(groups)))
+	e.groupsDone.Store(int64(adopted))
 	if runCtx.Err() == nil {
 		if c.rec, err = e.newRecord(golden, c.exps, groups); err != nil {
 			fail(err)
@@ -450,11 +441,6 @@ func (e *Engine) run(ctx context.Context, led *Ledger) (*inject.Stats, error) {
 					e.harvest(wm, work)
 					if runCtx.Err() == nil {
 						e.groupsDone.Add(1)
-						if cv != nil {
-							if werr := cv.StoreGroup(wave[gi].addr, led); werr != nil {
-								fail(fmt.Errorf("campaign: cache write-back at %#x: %w", wave[gi].addr, werr))
-							}
-						}
 					}
 				}
 			}()
@@ -693,7 +679,7 @@ func (e *Engine) Metrics() Metrics {
 		SynthesizedNA:  e.synthesizedRuns.Load(),
 		PrefixRuns:     e.prefixRuns.Load(),
 		JournalAdopted: int64(led.Tally().JournalAdopted),
-		CacheCounters:  led.Cache().Counters(),
+		CacheCounters:  led.CacheCounters(),
 		GroupsTotal:    e.groupsTotal.Load(),
 		GroupsDone:     e.groupsDone.Load(),
 		Workers:        int(e.workers.Load()),

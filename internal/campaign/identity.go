@@ -41,7 +41,7 @@ func (c *Config) Identity() Identity {
 // the app through build (target.Build, or a worker's fixed app set), its
 // scenario, and the scheme and fault model through their registries. An
 // unknown name fails with the registry's own error, which lists the
-// registered names.
+// registered names (an unknown scenario, with the app's scenario names).
 func (id Identity) Resolve(build func(string) (*target.App, error)) (Config, error) {
 	app, err := build(id.App)
 	if err != nil {
@@ -49,7 +49,11 @@ func (id Identity) Resolve(build func(string) (*target.App, error)) (Config, err
 	}
 	sc, ok := app.Scenario(id.Scenario)
 	if !ok {
-		return Config{}, fmt.Errorf("campaign: app %s has no scenario %q", id.App, id.Scenario)
+		names := make([]string, len(app.Scenarios))
+		for i := range app.Scenarios {
+			names[i] = app.Scenarios[i].Name
+		}
+		return Config{}, fmt.Errorf("campaign: app %s has no scenario %q (have %v)", id.App, id.Scenario, names)
 	}
 	scheme, err := encoding.Parse(id.Scheme)
 	if err != nil {

@@ -25,10 +25,14 @@ import (
 //     adopted from the journal and from the result cache.
 //   - Stats are one Stats.Add pass in enumeration order, so every executor
 //     produces the same bytes.
+//   - The result cache has one owner: the ledger adopts from it before
+//     anything executes (AdoptCache) and, in readwrite mode, persists a
+//     target group when a fresh record completes it. A group that the
+//     journal alone completed is written the next time the group executes.
 //
 // Its methods are safe for concurrent use; the accessors (Progress, Tally,
-// Elapsed, Cache) also accept a nil ledger and report zeros, which is what
-// an executor polled before Run shows.
+// Elapsed, CacheCounters) also accept a nil ledger and report zeros, which
+// is what an executor polled before Run shows.
 type Ledger struct {
 	cfg  Config
 	exps []inject.Experiment
@@ -42,7 +46,7 @@ type Ledger struct {
 	have    []bool
 	counts  [classify.OutcomeBRK + 1]int
 	tally   Tally
-	cv      *CacheView
+	cv      *cacheView // set by AdoptCache; nil with the cache off
 	start   time.Time
 	end     time.Time
 }
@@ -107,10 +111,12 @@ func OpenLedger(cfg *Config, exps []inject.Experiment, resume bool) (*Ledger, er
 func (l *Ledger) Experiments() []inject.Experiment { return l.exps }
 
 // Record records the result of experiment idx. The first record of an
-// index wins: it is counted, journaled, and reported to Config.Progress
-// (outside the ledger's lock), and Record reports true. A
-// repeat with an equal result is counted as a duplicate and not journaled;
-// a repeat with a different result returns a determinism error.
+// index wins: it is counted, journaled, written back to the result cache
+// if it completes a cacheable target group, and reported to
+// Config.Progress (the last two outside the ledger's lock), and Record
+// reports true. A repeat with an equal result is counted as a duplicate
+// and not journaled; a repeat with a different result returns a
+// determinism error. A journal or cache write failure is an error.
 func (l *Ledger) Record(idx int, res inject.Result) (bool, error) {
 	return l.record(idx, res, false)
 }
@@ -139,9 +145,21 @@ func (l *Ledger) record(idx int, res inject.Result, cached bool) (bool, error) {
 		// The checkpoint counts are built only when a checkpoint is due.
 		err = l.jw.appendRun(idx, res, done, l.countsLocked)
 	}
+	cv := l.cv
+	var ct *cacheTarget
+	var group []inject.Result
+	if cv != nil {
+		ct, group = l.completedGroupLocked(idx, cached)
+	}
 	l.mu.Unlock()
 	if err != nil {
 		return true, fmt.Errorf("campaign: journal append: %w", err)
+	}
+	if group != nil {
+		addr := l.exps[idx].Target.Addr
+		if err := cv.writeBack(addr, ct, group); err != nil {
+			return true, fmt.Errorf("campaign: cache write-back at %#x: %w", addr, err)
+		}
 	}
 	if l.cfg.Progress != nil {
 		l.cfg.Progress(done, len(l.exps))
@@ -152,41 +170,80 @@ func (l *Ledger) record(idx int, res inject.Result, cached bool) (bool, error) {
 	return true, nil
 }
 
-// AdoptCache adopts every pending run that cv holds a valid entry for,
-// target group by target group in first-appearance order, and records
-// each as cache-adopted, so a warm campaign is journaled and streamed like
-// a cold one. The ledger keeps cv for write-back and its counters (Cache).
-// A nil cv (cache off) adopts nothing. Adoption stops when ctx ends.
-func (l *Ledger) AdoptCache(ctx context.Context, cv *CacheView) error {
-	if cv == nil {
-		return nil
+// completedGroupLocked counts the record of idx against its cacheable
+// target group in readwrite mode. When a fresh record completes the
+// group's local range it returns the group and its results by local
+// mutation index, to be written back outside the lock. A group completed
+// by cache adoption is already in the store.
+func (l *Ledger) completedGroupLocked(idx int, cached bool) (*cacheTarget, []inject.Result) {
+	ct := l.cv.targets[l.exps[idx].Target.Addr]
+	if ct == nil || !l.cv.write {
+		return nil, nil
+	}
+	ct.left--
+	if ct.left > 0 || cached {
+		return nil, nil
+	}
+	group := make([]inject.Result, ct.count)
+	for li, i := range ct.byLi {
+		group[li] = l.results[i]
+	}
+	return ct, group
+}
+
+// AdoptCache builds the campaign's result-cache view when the config's
+// cache is on, keyed by the fault-free session golden (its observables
+// are key material), and adopts every pending run the store holds a valid
+// entry for, target group by target group in first-appearance order. It
+// records each as cache-adopted, so a warm campaign is journaled and
+// streamed like a cold one, and returns how many pending groups it
+// adopted whole. The ledger keeps the view for write-back (Record) and
+// its counters (CacheCounters). With the cache off it adopts nothing.
+// Adoption stops when ctx ends.
+func (l *Ledger) AdoptCache(ctx context.Context, golden *classify.Golden) (int, error) {
+	if !l.cfg.cacheActive() {
+		return 0, nil
+	}
+	cv, err := buildCache(&l.cfg, l.exps, golden)
+	if err != nil {
+		return 0, err
 	}
 	l.mu.Lock()
 	l.cv = cv
+	for _, ct := range cv.targets {
+		for _, idx := range ct.byLi {
+			if !l.have[idx] {
+				ct.left++
+			}
+		}
+	}
 	l.mu.Unlock()
-	var err error
+	whole := 0
 	for _, g := range l.pending() {
 		if err != nil || ctx.Err() != nil {
 			break
 		}
-		cv.Adopt(g.addr, l.exps, g.indices, func(idx int, res inject.Result) {
+		rem := cv.adopt(g.addr, l.exps, g.indices, func(idx int, res inject.Result) {
 			if err == nil {
 				_, err = l.record(idx, res, true)
 			}
 		})
+		if len(rem) == 0 {
+			whole++
+		}
 	}
-	return err
+	return whole, err
 }
 
-// Cache returns the result-cache view given to AdoptCache; nil with the
-// cache off.
-func (l *Ledger) Cache() *CacheView {
+// CacheCounters reports the result cache's counters: zeros with the cache
+// off.
+func (l *Ledger) CacheCounters() CacheCounters {
 	if l == nil {
-		return nil
+		return CacheCounters{}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cv
+	return l.cv.counters()
 }
 
 // pending groups the unrecorded experiments by target address.
@@ -214,21 +271,6 @@ func (l *Ledger) Missing(idxs []int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// recorded returns copies of the results at idxs, or false while any of
-// them is unrecorded.
-func (l *Ledger) recorded(idxs []int) ([]inject.Result, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]inject.Result, len(idxs))
-	for i, idx := range idxs {
-		if !l.have[idx] {
-			return nil, false
-		}
-		out[i] = l.results[idx]
-	}
-	return out, true
 }
 
 // Tally reports the ledger's record counts.

@@ -168,7 +168,7 @@ func TestLedgerZeroBeforeOpen(t *testing.T) {
 	if p.Counts == nil || len(p.Counts) != 0 {
 		t.Errorf("counts %v, want an empty map", p.Counts)
 	}
-	if l.Tally() != (Tally{}) || l.Elapsed() != 0 || l.Cache() != nil || l.Cache().Counters() != (CacheCounters{}) {
+	if l.Tally() != (Tally{}) || l.Elapsed() != 0 || l.CacheCounters() != (CacheCounters{}) {
 		t.Error("nil ledger reports nonzero tally, elapsed time or cache")
 	}
 }

@@ -83,14 +83,11 @@ func (o Options) config(app *target.App, sc target.Scenario, scheme encoding.Sch
 	}
 }
 
-// Campaign runs one selective-exhaustive campaign.
+// Campaign runs one selective-exhaustive campaign under the paper's
+// single-bit fault model.
 func (s *Study) Campaign(ctx context.Context, app *target.App, scenario string,
 	scheme encoding.Scheme, opts Options) (*inject.Stats, error) {
-	sc, ok := app.Scenario(scenario)
-	if !ok {
-		return nil, fmt.Errorf("core: app %s has no scenario %q", app.Name, scenario)
-	}
-	return campaign.New(opts.config(app, sc, scheme)).Run(ctx)
+	return s.CampaignModel(ctx, app, scenario, scheme, "", opts)
 }
 
 // AllCampaigns runs the paper's six campaigns (FTP Client1..4, SSH
@@ -145,17 +142,17 @@ func (s *Study) Figure4(ctx context.Context, opts Options) (*report.Histogram, e
 // CampaignModel runs one selective-exhaustive campaign under an explicit
 // fault model (internal/faultmodel registry name; "" or "bitflip" is the
 // paper's single-bit model), which decides the experiment enumeration.
+// The campaign identity resolves through campaign.Identity.Resolve, so an
+// unknown scenario, scheme or model fails with the registry's error,
+// which lists the registered names.
 func (s *Study) CampaignModel(ctx context.Context, app *target.App, scenario string,
 	scheme encoding.Scheme, model string, opts Options) (*inject.Stats, error) {
-	sc, ok := app.Scenario(scenario)
-	if !ok {
-		return nil, fmt.Errorf("core: app %s has no scenario %q", app.Name, scenario)
+	cfg, err := campaign.Identity{App: app.Name, Scenario: scenario, Scheme: encoding.SchemeName(scheme),
+		Model: model, Fuel: opts.Fuel}.Resolve(func(string) (*target.App, error) { return app, nil })
+	if err != nil {
+		return nil, err
 	}
-	if _, err := faultmodel.Get(model); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	cfg := opts.config(app, sc, scheme)
-	cfg.Model = model
+	cfg.Parallelism, cfg.KeepResults = opts.Parallelism, opts.KeepResults
 	return campaign.New(cfg).Run(ctx)
 }
 

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"faultsec/internal/classify"
 	"faultsec/internal/core"
 	"faultsec/internal/encoding"
+	"faultsec/internal/faultmodel"
 	"faultsec/internal/ftpd"
 	"faultsec/internal/x86"
 )
@@ -47,6 +49,34 @@ func TestCampaignUnknownScenario(t *testing.T) {
 	if _, err := s.Campaign(context.Background(), s.FTPD, "Client9",
 		encoding.SchemeX86, core.Options{}); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestCampaignModelRegistryErrors: CampaignModel resolves its campaign
+// through campaign.Identity.Resolve, so an unknown scenario or fault model
+// fails before any run with the registry's error, which lists the
+// registered names.
+func TestCampaignModelRegistryErrors(t *testing.T) {
+	s := study(t)
+	ctx := context.Background()
+	_, err := s.CampaignModel(ctx, s.FTPD, "Client9", encoding.SchemeX86, "", core.Options{})
+	if err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+	for _, sc := range s.FTPD.Scenarios {
+		if !strings.Contains(err.Error(), sc.Name) {
+			t.Errorf("unknown-scenario error %q does not list scenario %s", err, sc.Name)
+		}
+	}
+	_, err = s.CampaignModel(ctx, s.FTPD, "Client1", encoding.SchemeX86, "nosuch", core.Options{})
+	_, want := faultmodel.Get("nosuch")
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("unknown model: error %v, want the registry's %v", err, want)
+	}
+	for _, name := range faultmodel.Names() {
+		if err != nil && !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-model error %q does not list model %s", err, name)
+		}
 	}
 }
 

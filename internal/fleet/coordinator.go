@@ -96,14 +96,16 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 	}
 	c.led.Store(led)
 
-	// Cache adoption happens before planning: the ledger records every hit,
-	// so a shard whose experiments are all cached (or journal-adopted)
-	// plans with an empty pending set and is never leased — only the
-	// groups whose keyed context changed execute. The cache view runs one
-	// fault-free golden session (its observables are key material).
-	cv, err := campaign.NewCacheView(*cc, exps)
+	// The fault-free session runs once, before planning: its observables
+	// are the result cache's key material, and a session that does not
+	// exit cleanly fails the campaign before any lease. Cache adoption
+	// follows: the ledger records every hit, so a shard whose experiments
+	// are all cached (or journal-adopted) plans with an empty pending set
+	// and is never leased — only the groups whose keyed context changed
+	// execute.
+	golden, err := inject.GoldenRun(cc.App, cc.Scenario, inject.EffectiveFuel(cc.Fuel))
 	if err == nil {
-		err = led.AdoptCache(ctx, cv)
+		_, err = led.AdoptCache(ctx, golden)
 	}
 	if err != nil {
 		return led.Finish(ctx, err)
@@ -119,9 +121,6 @@ func (c *Coordinator) run(ctx context.Context, resume bool) (*inject.Stats, erro
 		if len(sh.pending) == 0 {
 			sh.done = true
 			c.shardsOut++
-			// Backfill the store from shards completed without leasing
-			// (journal-adopted resumes): their groups may predate the cache.
-			c.storeShardGroupsLocked(led, sh)
 		}
 	}
 	c.mu.Unlock()
@@ -333,10 +332,6 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 			c.shardsOut++
 			ws.shardsDone.Add(1)
 			c.work.Add(work)
-			// Persist the shard's freshly executed target groups; a group
-			// whose entry already exists (an adopted hit, or a concurrent
-			// writer) is a verified no-op inside StoreGroup.
-			c.storeShardGroupsLocked(led, sh)
 		}
 		return
 	}
@@ -353,23 +348,6 @@ func (c *Coordinator) settle(ctx context.Context, sh *shardState, ws *workerStat
 		return
 	}
 	sh.nextEligible = time.Now().Add(c.cfg.backoff(sh.attempts))
-}
-
-// storeShardGroupsLocked writes every completed target group of sh to the
-// result cache (readwrite mode only; no-op with the cache off). Callers
-// hold c.mu. A write failure fails the campaign: a same-key content
-// mismatch would mean the key derivation missed an input.
-func (c *Coordinator) storeShardGroupsLocked(led *campaign.Ledger, sh *shardState) {
-	cv := led.Cache()
-	if cv == nil {
-		return
-	}
-	for _, addr := range sh.addrs {
-		if err := cv.StoreGroup(addr, led); err != nil {
-			c.failLocked(fmt.Errorf("fleet: cache write-back at %#x: %w", addr, err))
-			return
-		}
-	}
 }
 
 // fail records the campaign's first error and cancels the run.
@@ -434,7 +412,7 @@ func (c *Coordinator) specFor(sh *shardState) ShardSpec {
 	id := cc.Identity()
 	return ShardSpec{
 		App: id.App, Scenario: id.Scenario, Scheme: id.Scheme, Model: campaign.WireModel(id.Model),
-		Fuel: cc.Fuel, Parallelism: cc.Parallelism, Watchdog: id.Watchdog, CacheMode: cc.CacheMode,
+		Fuel: cc.Fuel, Parallelism: cc.Parallelism, Watchdog: id.Watchdog,
 		Total: len(c.led.Load().Experiments()), Shard: sh.id, Indices: sh.pending,
 	}
 }

@@ -25,7 +25,10 @@
 // format and single-writer registry as the engine; it leases
 // shards with per-attempt deadlines and capped exponential backoff,
 // health-checks workers over GET /healthz, and speculatively re-dispatches
-// straggler shards. An in-process loopback worker makes the single-node
+// straggler shards. The coordinator is also the result cache's only
+// user: its ledger adopts cached runs before planning and writes target
+// groups back as delivered results complete them, while workers run
+// shards cache-free. An in-process loopback worker makes the single-node
 // degenerate case behave exactly like running the engine directly.
 package fleet
 
@@ -67,7 +70,9 @@ type Worker interface {
 // plus the global experiment indices to execute. The worker resolves the
 // identity, re-derives the enumeration from it and validates Total
 // against it, so a coordinator and worker built from diverging trees fail
-// loudly instead of mixing index spaces.
+// loudly instead of mixing index spaces. A spec carries no cache mode:
+// workers run shards cache-free, and the coordinator is the result
+// store's only user, so a spec with a "cacheMode" key is refused.
 type ShardSpec struct {
 	App      string `json:"app"`
 	Scenario string `json:"scenario"`
@@ -82,11 +87,6 @@ type ShardSpec struct {
 	Fuel        uint64 `json:"fuel,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	Watchdog    bool   `json:"watchdog,omitempty"`
-	// CacheMode is the campaign's content-addressed cache mode ("",
-	// "off", "read", "readwrite"). A worker honors it only when it has a
-	// local result store configured; the coordinator consults its own
-	// store before leasing either way.
-	CacheMode string `json:"cacheMode,omitempty"`
 	// Total is the size of the full campaign enumeration.
 	Total int `json:"total"`
 	// Shard is the coordinator's shard id (diagnostics only).

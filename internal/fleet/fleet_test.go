@@ -291,6 +291,40 @@ func TestFleetDeadFleetFailsDeterministically(t *testing.T) {
 	}
 }
 
+// countingWorker is a loopback worker that counts the shards leased to it.
+type countingWorker struct {
+	*fleet.Loopback
+	shards atomic.Int64
+}
+
+func (w *countingWorker) RunShard(ctx context.Context, spec fleet.ShardSpec, emit func(int, *campaign.WireResult)) (campaign.Work, error) {
+	w.shards.Add(1)
+	return w.Loopback.RunShard(ctx, spec, emit)
+}
+
+// TestFleetGoldenFailureFailsBeforeLeasing: the coordinator runs the
+// fault-free session once before planning, so a campaign whose session
+// cannot exit cleanly (fuel too small) fails with the golden run's own
+// error, with no retry and no shard leased.
+func TestFleetGoldenFailureFailsBeforeLeasing(t *testing.T) {
+	app, sc := ftpClient1(t)
+	w := &countingWorker{Loopback: fleet.NewLoopback("w0", app)}
+	cfg := fleetConfig(app, sc, w)
+	cfg.Campaign.Fuel = 100
+	cfg.RetryBase = time.Millisecond
+	co := fleet.New(cfg)
+	_, err := co.Run(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "inject: golden run") {
+		t.Fatalf("error %v, want the golden run's own error", err)
+	}
+	if m := co.Metrics(); m.Retries != 0 {
+		t.Errorf("%d retries, want 0", m.Retries)
+	}
+	if n := w.shards.Load(); n != 0 {
+		t.Errorf("worker ran %d shards, want 0", n)
+	}
+}
+
 // TestFleetJournalCancelResume: a fleet campaign canceled mid-flight
 // leaves a journal that (a) a fresh coordinator resumes to byte-identical
 // Stats, and (b) crucially, is the same format the single-process engine
@@ -386,11 +420,10 @@ func cacheStore(t testing.TB) *castore.Store {
 	return store
 }
 
-// cachedFleetConfig wires one loopback worker and the shared result store
-// into a readwrite fleet campaign over app.
+// cachedFleetConfig wires one loopback worker and the coordinator's
+// result store into a readwrite fleet campaign over app.
 func cachedFleetConfig(app *target.App, sc target.Scenario, store *castore.Store) fleet.Config {
 	lb := fleet.NewLoopback("w0", app)
-	lb.SetCache(store)
 	cfg := fleetConfig(app, sc, lb)
 	cfg.Campaign.Cache = store
 	cfg.Campaign.CacheMode = campaign.CacheReadWrite
@@ -414,10 +447,9 @@ func TestFleetCacheWarmAdoptsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, want, cold)
-	// The loopback worker and the coordinator share the store: the worker's
-	// engine persists each group as it completes, and the coordinator's
-	// settlement writes verify as duplicate no-ops — so the store must be
-	// populated, whichever side got there first.
+	// The coordinator is the store's only writer: its ledger persists each
+	// target group as the delivered results complete it, so the store must
+	// be populated.
 	keys, err := store.Keys()
 	if err != nil {
 		t.Fatal(err)

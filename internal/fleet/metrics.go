@@ -12,10 +12,11 @@ type Metrics struct {
 	SpeculativeAttempts int64 `json:"speculativeAttempts"`
 	DuplicateRuns       int64 `json:"duplicateRuns"`
 	JournalAdopted      int64 `json:"journalAdopted"`
-	// CacheCounters are the coordinator's own result-cache counters: runs
-	// adopted from the store before leasing, runs leased because their
-	// target group had no usable entry, entries persisted on shard
-	// settlement, and entries rejected as corrupt or inconsistent.
+	// CacheCounters are the result-cache counters of the coordinator, the
+	// store's only user in a fleet campaign: runs adopted from the store
+	// before leasing, runs leased because their target group had no usable
+	// entry, entries persisted as delivered results complete target
+	// groups, and entries rejected as corrupt or inconsistent.
 	campaign.CacheCounters
 	// Work sums the work counters of settled shards, as their workers'
 	// engines reported them; retried and speculative duplicate attempts
@@ -64,7 +65,7 @@ func (c *Coordinator) Metrics() Metrics {
 		SpeculativeAttempts: c.speculative.Load(),
 		DuplicateRuns:       int64(t.Duplicates),
 		JournalAdopted:      int64(t.JournalAdopted),
-		CacheCounters:       led.Cache().Counters(),
+		CacheCounters:       led.CacheCounters(),
 		RunsTotal:           int64(t.Fresh()),
 		WorkersTotal:        len(c.workers),
 	}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"faultsec/internal/campaign"
-	"faultsec/internal/castore"
 	"faultsec/internal/inject"
 	"faultsec/internal/target"
 )
@@ -56,21 +55,12 @@ func mapResolver(apps map[string]*target.App) AppResolver {
 // (unknown app, scenario, scheme or model, an enumeration that does not
 // match Total, an index out of range) surface here, before any result is
 // produced, so the HTTP handler can still answer 400.
-func prepareShard(resolve AppResolver, spec *ShardSpec,
-	cache *castore.Store) (func(ctx context.Context, emit emitFunc) (campaign.Work, error), error) {
+func prepareShard(resolve AppResolver, spec *ShardSpec) (func(ctx context.Context, emit emitFunc) (campaign.Work, error), error) {
 	cfg, err := spec.Identity().Resolve(resolve)
 	if err != nil {
 		return nil, err
 	}
-	cacheMode, err := campaign.NormalizeCacheMode(spec.CacheMode)
-	if err != nil {
-		return nil, err
-	}
 	cfg.Parallelism = spec.Parallelism
-	if cache != nil {
-		cfg.CacheMode = cacheMode
-		cfg.Cache = cache
-	}
 	// A scheme or model this build does not know was refused above (400
 	// on the HTTP path); one whose enumeration size disagrees with the
 	// coordinator's trips the Total check — the two loud failure modes
@@ -110,17 +100,10 @@ type WorkerServer struct {
 	// gate, when non-nil, is consulted before a shard starts; a non-nil
 	// error refuses the lease with 503 (campaignd's drain gate).
 	gate func() error
-	// cache, when non-nil, is the worker-local result store; shards whose
-	// spec carries a cache mode execute with it.
-	cache *castore.Store
 
 	shardsServed atomic.Int64
 	runsServed   atomic.Int64
 }
-
-// SetCache installs a worker-local result store, honored by shard specs
-// that carry a cache mode. Call before serving traffic.
-func (ws *WorkerServer) SetCache(s *castore.Store) { ws.cache = s }
 
 // NewWorkerServer builds a worker handler over the given apps. gate may
 // be nil; otherwise a non-nil gate() error refuses new shards with 503
@@ -170,7 +153,7 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "bad shard spec: %v", err)
 		return
 	}
-	run, err := prepareShard(ws.resolve, &spec, ws.cache)
+	run, err := prepareShard(ws.resolve, &spec)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -220,12 +203,7 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type Loopback struct {
 	name    string
 	resolve AppResolver
-	cache   *castore.Store
 }
-
-// SetCache installs a worker-local result store, honored by shard specs
-// that carry a cache mode.
-func (l *Loopback) SetCache(s *castore.Store) { l.cache = s }
 
 // NewLoopback builds an in-process worker serving the given apps.
 func NewLoopback(name string, apps ...*target.App) *Loopback {
@@ -251,7 +229,7 @@ func (l *Loopback) Healthy(context.Context) error { return nil }
 
 // RunShard executes the shard on an in-process engine.
 func (l *Loopback) RunShard(ctx context.Context, spec ShardSpec, emit func(int, *campaign.WireResult)) (campaign.Work, error) {
-	run, err := prepareShard(l.resolve, &spec, l.cache)
+	run, err := prepareShard(l.resolve, &spec)
 	if err != nil {
 		return campaign.Work{}, err
 	}
