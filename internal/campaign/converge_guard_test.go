@@ -787,3 +787,156 @@ func TestLiveCheckpointGuards(t *testing.T) {
 		})
 	}
 }
+
+// The dense-checkpoint guard images. Each spins for 6,000 steps between
+// its syscalls, so the golden shadow records dense checkpoints there.
+const (
+	// denseBeforeLastSrc calls check twice, the spin between the calls.
+	// check's je falls through in the first call and jumps in the second,
+	// so a flip of its displacement holds the session's state, poked
+	// bytes aside, at the dense checkpoints of the spin, and only then
+	// jumps elsewhere. Those runs may not stop before the second call.
+	denseBeforeLastSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov ecx, 3000
+spin:
+	dec ecx
+	jne spin
+	mov eax, 1
+	mov [flag], eax
+	call check
+	mov eax, 4
+	mov ebx, 1
+	mov edx, 4
+	int 0x80
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov ecx, msg
+	mov eax, [flag]
+	cmp eax, 1
+	je out
+	mov ecx, alt
+out:
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+alt: .ascii "no\r\n"
+`
+	// denseRejoinSrc writes the message check picks and spins before it
+	// exits. check's first je picks ESI, its second the message. A flip
+	// that makes the first je jump differs from the session in ESI at the
+	// write, rejoins it when ESI is cleared after the write, and stops at
+	// the first dense checkpoint, between the two syscalls. A flip that
+	// makes the second jump writes the other message: it holds the
+	// session's machine state in the spin, but not its kernel session,
+	// and may not stop.
+	denseRejoinSrc = `
+.text
+.global _start
+.func _start
+_start:
+	call check
+	mov eax, 4
+	mov ebx, 1
+	mov edx, 4
+	int 0x80
+	mov esi, 0
+	mov ecx, 3000
+	xor eax, eax
+spin:
+	dec ecx
+	jne spin
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+.func check
+check:
+	mov esi, 1
+	mov ecx, alt
+	mov eax, [flag]
+	cmp eax, 1
+	je first
+	mov esi, 2
+	jmp second
+first:
+	nop
+	nop
+second:
+	cmp eax, 1
+	je keep
+	mov ecx, msg
+	jmp out
+keep:
+	nop
+	nop
+out:
+	ret
+.endfunc
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+alt: .ascii "no\r\n"
+`
+)
+
+// TestDenseCheckpointGuards checks the dense-checkpoint compare of byte
+// faults on images where a run holds the session's machine state at a
+// dense checkpoint it may not stop at: before the session's last
+// retirement of the corrupted branch, or with a different kernel
+// session. Each bitflip campaign must converge the pinned runs, at the
+// write's syscall entry (atWrite runs, step write) or at the first dense
+// checkpoint, step 1,000 (atDense runs), and give Stats equal to the
+// naive executor's.
+func TestDenseCheckpointGuards(t *testing.T) {
+	for _, c := range []struct {
+		name, src        string
+		atWrite, atDense int64
+		write            int64
+	}{
+		{"beforeLast", denseBeforeLastSrc, 0, 0, 0},
+		{"rejoin", denseRejoinSrc, 18, 5, 17},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			app, sc := guardApp(t, c.name, c.src)
+			cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1}
+			exps, err := campaign.EnumerateConfig(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := campaign.New(cfg)
+			got, err := eng.RunExperiments(context.Background(), exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := inject.GoldenRun(app, sc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := int64(golden.Steps)
+			m := eng.Metrics()
+			if n, saved := c.atWrite+c.atDense, c.atWrite*(end-c.write)+c.atDense*(end-1000); m.ConvergedRuns != n || m.InstructionsSaved != saved {
+				t.Errorf("%d runs converged saving %d instructions, want %d saving %d", m.ConvergedRuns, m.InstructionsSaved, n, saved)
+			}
+			want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
+				App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1,
+			}, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
+			}
+		})
+	}
+}

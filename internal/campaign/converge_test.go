@@ -53,9 +53,9 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 		{"regflip", "ftpd", 8880, 1_165_978_842, 36_653_143},
 		{"regflip", "sshd", 8883, 2_106_007_157, 92_225_411},
 		{"regflip", "httpd", 5305, 360_647_033, 27_292_781},
-		{"bitflip", "ftpd", 191, 19_288_258, 16_961_614},
-		{"bitflip", "sshd", 186, 11_816_229, 58_868_992},
-		{"bitflip", "httpd", 111, 2_978_601, 12_821_452},
+		{"bitflip", "ftpd", 191, 25_872_616, 10_377_256},
+		{"bitflip", "sshd", 186, 27_365_314, 43_319_907},
+		{"bitflip", "httpd", 111, 8_391_619, 7_408_434},
 	} {
 		name := c.app
 		if c.model != "regflip" {

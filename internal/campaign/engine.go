@@ -25,7 +25,8 @@
 //     free and wall-clock scales with cores.
 //
 //   - Golden convergence. One fault-free replay per campaign checkpoints
-//     the session at every syscall entry. A run stops as soon as its
+//     the session at every syscall entry and, in a campaign without
+//     register faults, every 1,000 steps. A run stops as soon as its
 //     whole state equals the session's at the same step, apart from the
 //     bytes a persistent fault poked that the session never retires or
 //     reads again; the rest of its outcome is the golden one
@@ -490,6 +491,7 @@ func (c *campaignRun) runGroup(ctx context.Context, wm *vm.Machine, g *group, sn
 	}
 
 	var chk convergenceChecker
+	onAlarm := chk.alarm
 	goldenEnd, goldenWindow := c.rec.goldenEnd(snap)
 	sh := c.rec.sh
 	var deadLanes x86.Lanes
@@ -521,7 +523,6 @@ func (c *campaignRun) runGroup(ctx context.Context, wm *vm.Machine, g *group, sn
 			k2 := snap.k.NewKernel(fresh)
 			var sys vm.SyscallHandler = k2
 			if sh != nil {
-				chk.arm(sh, k2, g.addr, &mut)
 				sys = &chk
 			}
 			var err error
@@ -533,6 +534,10 @@ func (c *campaignRun) runGroup(ctx context.Context, wm *vm.Machine, g *group, sn
 			// so the restored machine is a session ready for the mutation.
 			s := inject.Session{Machine: wm, Kernel: k2, Client: fresh,
 				ActivationSteps: snap.activationSteps, BytesAtActivation: snap.bytesAtActivation}
+			if sh != nil {
+				chk.arm(sh, k2, wm, g.addr, &mut)
+				s.OnAlarm = onAlarm
+			}
 			if run, window, err = inject.Execute(&s, &ex.Target, &mut, nil); err != nil {
 				c.fail(fmt.Errorf("campaign: inject at %#x: %w", ex.Target.Addr, err))
 				return wm
@@ -586,9 +591,10 @@ type Work struct {
 	// Config.NoDirtyTracking).
 	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
 	FullRestores     int64 `json:"fullRestores"`
-	// ConvergedRuns counts runs stopped at a syscall entry where their
-	// whole state equalled the fault-free session's, apart from poked
-	// bytes the session never retires or reads again; register-fault runs
+	// ConvergedRuns counts runs stopped at a syscall entry or a dense
+	// checkpoint where their whole state equalled the fault-free
+	// session's, apart from poked bytes the session never retires or
+	// reads again; register-fault runs
 	// stopped at a syscall entry where every register lane, flag and
 	// memory byte they still differed in was dead (not strongly live);
 	// and register faults into lanes dead at their activation, which stop

@@ -21,6 +21,12 @@ type Session struct {
 	ActivationSteps   uint64
 	BytesAtActivation int
 
+	// OnAlarm serves the machine's step alarm during Execute: it returns
+	// nil to continue the run (re-arming the alarm if it wants another)
+	// or the error that ends it. A session that arms no alarm leaves it
+	// nil.
+	OnAlarm func(m *vm.Machine) error
+
 	// end is how a session that never reached its target ended.
 	end error
 }
@@ -70,9 +76,10 @@ func Activate(app *target.App, sc target.Scenario, addr uint32, fuel uint64,
 // A non-nil observe is called before each attempted step until it
 // declines: EndSteps − ActivationSteps times, plus once for a last attempt
 // that retires nothing (out of fuel, or a fetch, decode or control-flow
-// fault). With a nil observe the run is one Machine.Run. Execute returns
-// the run and the server bytes sent inside the transient window; a
-// session that never reached its target returns its never-activated end.
+// fault). The rest of the run is Machine.Run, resumed after each step
+// alarm that OnAlarm lets pass. Execute returns the run and the server
+// bytes sent inside the transient window; a session that never reached
+// its target returns its never-activated end.
 func Execute(s *Session, t *Target, mut *Mutation, observe Observer) (classify.Run, int, error) {
 	run := classify.Run{Err: s.end}
 	if s.end == nil {
@@ -82,8 +89,11 @@ func Execute(s *Session, t *Target, mut *Mutation, observe Observer) (classify.R
 		for observe != nil && run.Err == nil && observe(s.Machine) {
 			run.Err = s.Machine.Step()
 		}
-		if run.Err == nil {
+		for run.Err == nil {
 			run.Err = s.Machine.Run()
+			if _, ok := run.Err.(*vm.AlarmHit); ok && s.OnAlarm != nil {
+				run.Err = s.OnAlarm(s.Machine)
+			}
 		}
 		run.Activated, run.ActivationSteps = true, s.ActivationSteps
 	}

@@ -13,7 +13,8 @@ import (
 // pages written since that restore (every other byte still equals the
 // snapshot, which the dirty bitmaps guarantee). The campaign engine records
 // one at every syscall entry of a fault-free replay whose dirty tracking is
-// armed at load, and asks each injected run whether it has rejoined it. A
+// armed at load, and at instruction boundaries between them, and asks each
+// injected run whether it has rejoined it. A
 // Checkpoint keeps no reference to its snapshot: the runs it is compared
 // against hold a later snapshot of the same session, which equals it
 // outside the checkpoint's written pages (see MatchesMemory).

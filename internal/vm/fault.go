@@ -107,3 +107,15 @@ type OutOfFuel struct {
 func (o *OutOfFuel) Error() string {
 	return fmt.Sprintf("out of fuel after %d instructions", o.Steps)
 }
+
+// AlarmHit is returned by Run at the first instruction boundary where
+// Steps reaches the armed alarm (Machine.SetAlarm). It does not end the
+// run: calling Run again continues it.
+type AlarmHit struct {
+	Steps uint64
+}
+
+// Error implements the error interface.
+func (a *AlarmHit) Error() string {
+	return fmt.Sprintf("step alarm after %d instructions", a.Steps)
+}

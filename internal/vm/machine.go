@@ -112,6 +112,11 @@ type Machine struct {
 
 	breakpoints map[uint32]struct{}
 
+	// alarm is the step count of the armed step alarm, 0 when none is
+	// armed (SetAlarm). Like a breakpoint it is not architectural state:
+	// Restore disarms it.
+	alarm uint64
+
 	// pc is the address of the instruction currently retiring, stashed by
 	// Step so micro-op handlers (and the shared string/bit-test cores) can
 	// stamp faults without threading it through every call. Transient: only
@@ -143,6 +148,14 @@ func (m *Machine) ClearBreakpoint(addr uint32) {
 // other targets' breakpoints still armed, but an injected run must execute
 // to its own fate without stopping at them.
 func (m *Machine) ClearBreakpoints() { m.breakpoints = nil }
+
+// SetAlarm arms the step alarm: Run returns an *AlarmHit at the first
+// instruction boundary where Steps >= steps, and disarms it. 0 disarms.
+// Unlike Fuel, the alarm never stops a run inside an instruction: a rep
+// string op that retires past it stops at the boundary after it, where
+// the run can resume. Like breakpoints it must be armed before Run is
+// called.
+func (m *Machine) SetAlarm(steps uint64) { m.alarm = steps }
 
 // Reg returns register r (32-bit).
 func (m *Machine) Reg(r uint8) uint32 { return m.Regs[r] }
@@ -228,6 +241,25 @@ func (m *Machine) fuel() uint64 {
 	return m.Fuel
 }
 
+// limit is the step count at which Run stops retiring: the fuel budget,
+// or the armed alarm when it comes first.
+func (m *Machine) limit() uint64 {
+	if f := m.fuel(); m.alarm == 0 || f <= m.alarm {
+		return f
+	}
+	return m.alarm
+}
+
+// stop is the end of a run at its limit: OutOfFuel once the budget is
+// spent, else the alarm, which it disarms.
+func (m *Machine) stop() error {
+	if m.Steps >= m.fuel() {
+		return &OutOfFuel{Steps: m.Steps}
+	}
+	m.alarm = 0
+	return &AlarmHit{Steps: m.Steps}
+}
+
 // Step decodes and executes one instruction. It returns nil on normal
 // retirement; a *Fault, *ExitStatus, *OutOfFuel, or a kernel error ends the
 // run.
@@ -237,9 +269,13 @@ func (m *Machine) fuel() uint64 {
 // and handler index were all resolved at fill time (x86.Inst.Bind), so a
 // warm retirement performs no per-form dispatch at all. The monolithic
 // switch (exec.go) runs only when nothing is cached (NoICache).
-func (m *Machine) Step() error {
-	if m.Steps >= m.fuel() {
-		return &OutOfFuel{Steps: m.Steps}
+func (m *Machine) Step() error { return m.step(m.fuel()) }
+
+// step is Step against a step limit, the fuel budget or Run's limit: at
+// or past it, it retires nothing and returns stop's error.
+func (m *Machine) step(limit uint64) error {
+	if m.Steps >= limit {
+		return m.stop()
 	}
 	pc := m.EIP
 	if m.CFValid != nil {
@@ -293,10 +329,11 @@ func (m *Machine) Step() error {
 // identical to single-stepping (the Step contract of one instruction per
 // call is why trace execution lives here and not in Step itself). Falls
 // back to Step whenever traces are gated off — ablation knobs, watchdog,
-// armed breakpoints — or when the trace at EIP would outrun the remaining
-// fuel, so OutOfFuel still fires at the exact step it would under
-// single-stepping.
-func (m *Machine) stepFused() error {
+// armed breakpoints — or when the trace at EIP would outrun limit, so
+// OutOfFuel and the alarm still fire at the exact step they would under
+// single-stepping. A trace that fits starts below limit, so the trace
+// path needs no compare of its own.
+func (m *Machine) stepFused(limit uint64) error {
 	if !m.NoICache && !m.NoTraces &&
 		m.CFValid == nil && len(m.breakpoints) == 0 {
 		pc := m.EIP
@@ -304,32 +341,35 @@ func (m *Machine) stepFused() error {
 		if tr == nil {
 			tr = m.buildTrace(pc)
 		}
-		if tr != nil && len(tr.ops) > 0 && m.Steps+uint64(len(tr.ops)) <= m.fuel() {
+		if tr != nil && len(tr.ops) > 0 && m.Steps+uint64(len(tr.ops)) <= limit {
 			return m.runTrace(tr)
 		}
 	}
-	return m.Step()
+	return m.step(limit)
 }
 
 // Run executes until the program exits, faults, runs out of fuel, hits an
-// armed breakpoint, or the kernel aborts the run. The returned error is
-// never nil and is one of *ExitStatus, *Fault, *OutOfFuel, *BreakpointHit,
-// or a kernel-defined error.
+// armed breakpoint or the armed alarm, or the kernel aborts the run. The
+// returned error is never nil and is one of *ExitStatus, *Fault,
+// *OutOfFuel, *BreakpointHit, *AlarmHit, or a kernel-defined error. After
+// a breakpoint or an alarm the run can be continued by calling Run again.
 //
-// Breakpoints must be armed before Run is called: once the armed set
-// drains to empty, Run stops probing it entirely, so a breakpoint armed
-// from inside a syscall handler mid-run is not seen until the next Run.
+// Breakpoints, the alarm and Fuel must be set before Run is called: once
+// the armed set drains to empty, Run stops probing it entirely, so a
+// breakpoint armed from inside a syscall handler mid-run is not seen
+// until the next Run, and the same holds for the alarm and Fuel.
 func (m *Machine) Run() error {
+	limit := m.limit()
 	for len(m.breakpoints) != 0 {
 		if _, hit := m.breakpoints[m.EIP]; hit {
 			return &BreakpointHit{Addr: m.EIP}
 		}
-		if err := m.Step(); err != nil {
+		if err := m.stepFused(limit); err != nil {
 			return err
 		}
 	}
 	for {
-		if err := m.stepFused(); err != nil {
+		if err := m.stepFused(limit); err != nil {
 			return err
 		}
 	}

@@ -114,6 +114,8 @@ func (s *Snapshot) NewMachine(sys SyscallHandler) *Machine {
 // so the cache keeps describing the bytes the machine holds. A fresh
 // mapping starts with no cache.
 //
+// Restore disarms the step alarm: it is not architectural state.
+//
 // The syscall handler and the machine's own Tuning are left untouched:
 // callers pair each Restore with the kernel restored for the same run.
 func (m *Machine) Restore(s *Snapshot) error {
@@ -199,6 +201,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.Fuel = s.fuel
 	m.TSC = s.tsc
 	m.CFValid = s.cfValid
+	m.alarm = 0
 	m.breakpoints = nil
 	for _, addr := range s.breakpoints {
 		m.SetBreakpoint(addr)

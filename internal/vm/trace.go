@@ -20,10 +20,11 @@ import "faultsec/internal/x86"
 //   - Per-op bookkeeping (m.pc, m.EIP, Steps, TSC) is identical to Step's,
 //     so a fault, exit or kernel error raised mid-trace observes the same
 //     machine state as single-stepping would.
-//   - Run only enters a trace when no per-step check can fire: fuel is
-//     pre-checked for the whole trace (otherwise it single-steps to the
-//     OutOfFuel point), and traces are gated off entirely while
-//     breakpoints are armed or the control-flow watchdog is on.
+//   - Run only enters a trace when no per-step check can fire: fuel and
+//     the step alarm are pre-checked for the whole trace (otherwise it
+//     single-steps to the OutOfFuel or alarm point), and traces are
+//     gated off entirely while breakpoints are armed or the control-flow
+//     watchdog is on.
 //   - Self-modifying writes: Memory.invalGen is polled after every fused
 //     op; a change means a store just invalidated cached decodes, so the
 //     remainder of the trace may be stale and the trace aborts (EIP
@@ -152,7 +153,8 @@ func traceTerminator(h uint16) bool {
 }
 
 // runTrace executes a fused trace. The caller (stepFused) has verified
-// fuel for the whole trace, no armed breakpoints, and no watchdog.
+// fuel and the alarm for the whole trace, no armed breakpoints, and no
+// watchdog.
 //
 // Steps, TSC and EIP are batched: inside the trace only m.pc (fault
 // stamping) is maintained per op, and the architectural counters are

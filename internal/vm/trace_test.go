@@ -60,18 +60,25 @@ const fusedFuel = 300
 
 // fuseDiff runs code from regs through Run on a machine with traces and on
 // a NoTraces one, both at fusedFuel, and describes the first difference
-// (endDiff; the fused run is got). It also returns the fused run's trace
-// hits.
-func fuseDiff(t *testing.T, code []byte, regs [x86.NumRegs]uint32) (string, uint64) {
+// (endDiff; the fused run is got). A non-zero alarm arms the fused run's
+// step alarm, which must stop it at a boundary at or past alarm, from
+// where Run continues it. It also returns the fused run's trace hits.
+func fuseDiff(t *testing.T, code []byte, regs [x86.NumRegs]uint32, alarm uint64) (string, uint64) {
 	t.Helper()
-	run := func(noTraces bool) (*Machine, error) {
-		m := diffMachine(t, code, false, regs)
-		m.NoTraces = noTraces
-		m.Fuel = fusedFuel
-		return m, m.Run()
+	mf := diffMachine(t, code, false, regs)
+	mf.Fuel = fusedFuel
+	mf.SetAlarm(alarm)
+	ef := mf.Run()
+	if hit, ok := ef.(*AlarmHit); ok {
+		if hit.Steps < alarm || mf.Steps != hit.Steps {
+			return fmt.Sprintf("alarm at %d stopped at step %d (reported %d)", alarm, mf.Steps, hit.Steps), 0
+		}
+		ef = mf.Run()
 	}
-	mf, ef := run(false)
-	ms, es := run(true)
+	ms := diffMachine(t, code, false, regs)
+	ms.NoTraces = true
+	ms.Fuel = fusedFuel
+	es := ms.Run()
 	return endDiff(mf, ms, ef, es), mf.TraceHits
 }
 
@@ -102,7 +109,7 @@ func endDiff(got, want *Machine, egot, ewant error) string {
 func TestTraceFusionDifferential(t *testing.T) {
 	var hits uint64
 	check := func(label string, code []byte, regs [x86.NumRegs]uint32) {
-		msg, n := fuseDiff(t, code, regs)
+		msg, n := fuseDiff(t, code, regs, 0)
 		if msg != "" {
 			t.Fatalf("%s % x: %s", label, code, msg)
 		}
@@ -123,15 +130,17 @@ func TestTraceFusionDifferential(t *testing.T) {
 }
 
 // FuzzTraceFusion is TestTraceFusionDifferential's check over
-// fuzzer-chosen code bytes and start registers: regs holds up to eight
-// little-endian words, EAX first. The seed corpus is the Figure corpus.
+// fuzzer-chosen code bytes, start registers and step alarm: regs holds up
+// to eight little-endian words, EAX first, and the fused run stops at the
+// alarm (0: none) and continues. The seed corpus is the Figure corpus,
+// with alarms inside it.
 func FuzzTraceFusion(f *testing.F) {
-	for _, fm := range figureCorpus() {
+	for i, fm := range figureCorpus() {
 		regs := make([]byte, 4*x86.NumRegs)
 		binary.LittleEndian.PutUint32(regs[4*x86.ESP:], 0x8000+2048)
-		f.Add(fm.code, regs)
+		f.Add(fm.code, regs, uint16(i%8*5))
 	}
-	f.Fuzz(func(t *testing.T, code, regBytes []byte) {
+	f.Fuzz(func(t *testing.T, code, regBytes []byte, alarm uint16) {
 		if len(code) == 0 {
 			t.Skip("no code to map")
 		}
@@ -144,8 +153,8 @@ func FuzzTraceFusion(f *testing.F) {
 				regs[i] = binary.LittleEndian.Uint32(regBytes[4*i:])
 			}
 		}
-		if msg, _ := fuseDiff(t, code, regs); msg != "" {
-			t.Fatalf("% x: %s", code, msg)
+		if msg, _ := fuseDiff(t, code, regs, uint64(alarm)); msg != "" {
+			t.Fatalf("% x (alarm %d): %s", code, alarm, msg)
 		}
 	})
 }
