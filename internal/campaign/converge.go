@@ -18,18 +18,18 @@ import (
 // exactly the state of the fault-free session at the same step, and from
 // there determinism fixes the rest of their outcome. Once per campaign the
 // engine replays the fault-free session — the golden shadow — recording a
-// checkpoint at each syscall entry and, for every target, the first and
-// last steps at which the session retires it. A campaign without register
-// faults also records a dense checkpoint at the first instruction boundary
-// at or past every denseK-th step. Each injected run then compares itself
-// against the checkpoint with its own step count at its syscall entries,
-// and at the dense checkpoints, where its step alarm stops it, and stops
-// on an exact match: registers, EIP, flags and TSC first, then the kernel
-// session, then every page either run wrote, skipping only the bytes the
-// injector poked. A persistent byte fault may
-// stop only where the session never again retires the corrupted
-// instruction. The run's result is built from the golden end state
-// instead of interpreting the remaining instructions.
+// checkpoint at the instruction boundary before each int 0x80 and, for
+// every target, the first and last steps at which the session retires it.
+// A campaign without register faults also checkpoints the first boundary
+// at or past every denseK-th step. All checkpoints form one list in step
+// order. Each injected run's step alarm halts it at every checkpoint
+// past its activation, where the run is compared against the checkpoint
+// and ends on an exact match: registers, EIP, flags and TSC first, then
+// the kernel session, then every page either run wrote, skipping only
+// the bytes the injector poked. A persistent byte fault may stop only
+// where the session never again retires the corrupted instruction. The
+// run's result is built from the golden end state instead of
+// interpreting the remaining instructions.
 //
 // In a campaign with register faults the same replay also answers, for
 // every target, which register byte lanes are strongly live at its first
@@ -40,7 +40,7 @@ import (
 // fed to computations whose results die, is not. A register fault into
 // lanes that are not strongly live cannot change the run: it is the
 // golden session from its activation on, and is recorded as such without
-// interpreting anything. The same argument holds from any syscall entry,
+// interpreting anything. The same argument holds from any checkpoint,
 // so the pass also keeps the live set at every checkpoint, and a register
 // fault's run stops at a checkpoint where its step count, EIP, TSC and
 // kernel session match exactly and every register lane, flag and byte it
@@ -71,9 +71,8 @@ var onConverged func(idx int, synthesized, executed inject.Result)
 // the interpreted instructions by 40.3% and 39.3%, against 40.1% at 1,000.
 const denseK = 1000
 
-// checkpoint is the shadow's full state at one syscall entry or dense
-// step and, at a syscall entry in a campaign with register faults, the
-// locations strongly live there.
+// checkpoint is the shadow's full state at one instruction boundary and,
+// in a campaign with register faults, the locations strongly live there.
 type checkpoint struct {
 	m    *vm.Checkpoint
 	k    *kernel.Snapshot
@@ -81,29 +80,26 @@ type checkpoint struct {
 }
 
 // shadow is a campaign's golden shadow. While the replay runs it is the
-// machine's syscall handler: it checkpoints the machine and the session
-// at every syscall entry, then serves the call.
+// machine's syscall handler: it serves each call and, in a campaign with
+// register faults, logs the kernel's copies to and from guest memory.
 type shadow struct {
-	k       *kernel.Kernel // the replay's session; nil once the replay ends
-	cps     []checkpoint
+	k       *kernel.Kernel         // the replay's session; nil once the replay ends
 	targets map[uint32]*retirement // what the replay learned of each target
 
-	// dense is the checkpoints at instruction boundaries, in step order,
-	// kept in a campaign without register faults only. Those with no
+	// cps is the checkpoints in ascending step order. Those with no
 	// syscall between them share one kernel snapshot, ks, which each
 	// syscall drops.
-	dense []checkpoint
-	ks    *kernel.Snapshot
+	cps []checkpoint
+	ks  *kernel.Snapshot
 
 	// The replay's flow log, kept in a campaign with register faults
 	// only and dropped when the replay ends: each step's flow, the stack
 	// slots of the steps that also have an r/m memory operand, in step
-	// order, the kernel's copies to and from guest memory, and each
-	// checkpoint's step.
+	// order, and the kernel's copies to and from guest memory. The log's
+	// index is the step count.
 	flow   []flowStep
 	stacks []uint32
 	copies []kernelCopy
-	cpStep []int
 }
 
 // retirement is what the golden shadow learned of one target.
@@ -154,10 +150,6 @@ func (sh *shadow) dead(addr uint32, at uint64) (x86.Lanes, error) {
 
 func (sh *shadow) Syscall(m *vm.Machine) error {
 	sh.ks = nil
-	sh.cps = append(sh.cps, checkpoint{m: m.Checkpoint(), k: sh.k.Snapshot()})
-	if sh.flow != nil {
-		sh.cpStep = append(sh.cpStep, len(sh.flow)-1)
-	}
 	nr, buf := m.Regs[x86.EAX], m.Regs[x86.ECX]
 	if nr == kernel.SysTime {
 		buf = m.Regs[x86.EBX]
@@ -190,13 +182,13 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // faults. A replay that does not end exactly like golden returns an error
 // wrapping errShadowDiverged.
 //
-// One lookup per step in text serves as that second guard and, in a
-// campaign with register faults, yields the step's entry in the flow log
-// the liveness pass reads. A campaign without them records the dense
-// checkpoints instead, from the first retirement of a target on: no run
+// One lookup per step in text serves as that second guard, marks the
+// int 0x80 steps the replay checkpoints before and, in a campaign with
+// register faults (text holds flows), yields the step's entry in the flow
+// log the liveness pass reads. A campaign without them also checkpoints
+// the dense boundaries, from the first retirement of a target on: no run
 // activates earlier.
-func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps []inject.Experiment,
-	groups []group) (*shadow, error) {
+func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, groups []group) (*shadow, error) {
 	client := e.cfg.Scenario.New()
 	sh := &shadow{k: kernel.New(client), targets: make(map[uint32]*retirement, len(groups))}
 	ld, err := e.cfg.App.Image.Load(sh, nil)
@@ -219,28 +211,30 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps [
 
 	for i := range groups {
 		sh.targets[groups[i].addr] = &retirement{}
-		for _, idx := range groups[i].indices {
-			if sh.flow == nil && exps[idx].Mut.Kind == inject.MutReg {
-				sh.flow = make([]flowStep, 0, golden.Steps)
-			}
-		}
+	}
+	if text.Flows != nil {
+		sh.flow = make([]flowStep, 0, golden.Steps)
 	}
 	var endErr error
 	// nextDense is the step of the next dense checkpoint, 0 until a
 	// target retires and none at all in a campaign with register faults.
+	// Any checkpoint moves it to the first multiple of denseK past its
+	// step, which an int 0x80 checkpoint before it leaves as it was.
 	var nextDense uint64
 	for endErr == nil {
-		fi, ok := text.At(m.EIP)
+		in, ok := text.At(m.EIP)
 		if !ok {
 			endErr = &vm.Fault{Kind: vm.FaultCFE, Addr: m.EIP, PC: m.EIP}
 			break
 		}
-		if nextDense != 0 && m.Steps >= nextDense {
+		if in.Syscall || nextDense != 0 && m.Steps >= nextDense {
 			if sh.ks == nil {
 				sh.ks = sh.k.Snapshot()
 			}
-			sh.dense = append(sh.dense, checkpoint{m: m.Checkpoint(), k: sh.ks})
-			nextDense = (m.Steps/denseK + 1) * denseK
+			sh.cps = append(sh.cps, checkpoint{m: m.Checkpoint(), k: sh.ks})
+			if nextDense != 0 {
+				nextDense = (m.Steps/denseK + 1) * denseK
+			}
 		}
 		if t := sh.targets[m.EIP]; t != nil {
 			if t.last == 0 {
@@ -252,7 +246,7 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps [
 			t.last = m.Steps + 1
 		}
 		if sh.flow != nil {
-			f, st := &text.Flows[fi], flowStep{flow: fi}
+			f, st := &text.Flows[in.Index], flowStep{flow: in.Index}
 			switch {
 			case f.MemW != 0:
 				st.addr = x86.EffAddr(&f.Addr, &m.Regs)
@@ -275,7 +269,7 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps [
 	sh.k, sh.ks = nil, nil
 	if sh.flow != nil {
 		sh.liveness(text, m.Mem)
-		sh.flow, sh.stacks, sh.copies, sh.cpStep = nil, nil, nil, nil
+		sh.flow, sh.stacks, sh.copies = nil, nil, nil
 	}
 	return sh, nil
 }
@@ -283,9 +277,9 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, exps [
 // liveness is the backward strong-liveness pass over the flow log. Nothing
 // is live after the session's end. It records at each retired target the
 // register lanes not live before its first retirement, and at each
-// checkpoint the set live before its int 0x80 step, the kernel's copies
-// applied. mem is the replay's address space, whose writable regions the
-// pass tracks bytes of.
+// checkpoint the set live before the step it precedes, that step's
+// kernel copies applied. mem is the replay's address space, whose
+// writable regions the pass tracks bytes of.
 func (sh *shadow) liveness(text *inject.Text, mem *vm.Memory) {
 	var ts []*retirement
 	for _, t := range sh.targets {
@@ -315,7 +309,7 @@ func (sh *shadow) liveness(text *inject.Text, mem *vm.Memory) {
 			c := &sh.copies[ci]
 			lv.putRange(c.addr, c.n, c.read)
 		}
-		for ; cpi >= 0 && sh.cpStep[cpi] == k; cpi-- {
+		for ; cpi >= 0 && sh.cps[cpi].m.Steps() == uint64(k); cpi-- {
 			sh.cps[cpi].live = lv.snapshot()
 		}
 		for ; len(ts) > 0 && ts[0].first == uint64(k); ts = ts[1:] {
@@ -514,24 +508,18 @@ func (lv *liveSet) step(f *x86.Flow, s *stepAddrs) {
 	}
 }
 
-// convergenceChecker is an injected run's syscall handler and step-alarm
-// hook: before serving a call it tests the run against the shadow
-// checkpoint of the same step count, if any, and at its alarm against the
-// dense checkpoint the alarm was armed for, and ends the run with
-// errConverged on a match. Where the checkpoint holds a live set, in a
-// campaign of register faults, the run matches if every location it
-// differs in is dead there; elsewhere it must match exactly.
+// convergenceChecker is an injected run's step-alarm hook: it arms the
+// alarm at the shadow's checkpoints one at a time, tests the run against
+// each where the alarm stops it, and ends the run with errConverged on a
+// match. Where the checkpoint holds a live set, in a campaign of register
+// faults, the run matches if every location it differs in is dead there;
+// elsewhere it must match exactly.
 type convergenceChecker struct {
 	k   *kernel.Kernel
 	cps []checkpoint
-	// next is the first checkpoint not yet behind the run; syscalls come
-	// at increasing step counts in both runs, so the scan is amortized
-	// constant.
+	// next is the checkpoint the run's alarm is armed at, when next <
+	// len(cps).
 	next int
-	// dense is the shadow's dense checkpoints; the run's alarm is armed
-	// at dense[nd] when nd < len(dense).
-	dense []checkpoint
-	nd    int
 	// from is the first step count at which the run may stop: past the
 	// session's last retirement of a corrupted instruction, 0 for a
 	// transient fault.
@@ -539,8 +527,8 @@ type convergenceChecker struct {
 	// skip and n delimit the poked bytes the memory compare ignores.
 	skip uint32
 	n    int
-	// at is the step count of the matching syscall entry, 0 until the run
-	// converges.
+	// at is the step count of the checkpoint the run matched, 0 until
+	// the run converges.
 	at uint64
 }
 
@@ -548,66 +536,45 @@ type convergenceChecker struct {
 // machine m, stopped at its activation, and arms m's step alarm. The
 // shadow has retired addr: runGroup checked its first retirement.
 func (c *convergenceChecker) arm(sh *shadow, k *kernel.Kernel, m *vm.Machine, addr uint32, mut *inject.Mutation) {
-	*c = convergenceChecker{k: k, cps: sh.cps, dense: sh.dense}
+	*c = convergenceChecker{k: k, cps: sh.cps}
 	if mut.Kind == inject.MutBytes {
 		c.from, c.skip, c.n = sh.targets[addr].last, addr, len(mut.Bytes)
 	}
 	c.rearm(m)
 }
 
-// rearm arms m's step alarm at the first dense checkpoint past m's step
-// count and at or past from; past the last one it arms nothing.
+// rearm arms m's step alarm at the first checkpoint past m's step count
+// and at or past from; past the last one it arms nothing.
 func (c *convergenceChecker) rearm(m *vm.Machine) {
-	for c.nd < len(c.dense) && (c.dense[c.nd].m.Steps() <= m.Steps || c.dense[c.nd].m.Steps() < c.from) {
-		c.nd++
+	for c.next < len(c.cps) && (c.cps[c.next].m.Steps() <= m.Steps || c.cps[c.next].m.Steps() < c.from) {
+		c.next++
 	}
-	if c.nd < len(c.dense) {
-		m.SetAlarm(c.dense[c.nd].m.Steps())
+	if c.next < len(c.cps) {
+		m.SetAlarm(c.cps[c.next].m.Steps())
 	}
 }
 
-// alarm is the run's inject.Session.OnAlarm: the exact compare against
-// the dense checkpoint the alarm was armed for. A run whose step count
-// is not the checkpoint's (a rep string op carried it past) fails
-// MatchesArch, and on a miss the alarm moves on to the next checkpoint.
+// alarm is the run's inject.Session.OnAlarm: the compare against the
+// checkpoint the alarm was armed for. A run whose step count is not the
+// checkpoint's (a rep string op carried it past) fails it, and on a miss
+// the alarm moves on to the next checkpoint. A match arms nothing more.
 func (c *convergenceChecker) alarm(m *vm.Machine) error {
-	if c.at != 0 {
+	cp := &c.cps[c.next]
+	var match bool
+	if cp.live != nil {
+		match = m.MatchesLive(cp.m, cp.live) && c.k.Matches(cp.k)
+	} else {
+		match = m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m, c.skip, c.n)
+	}
+	if !match {
+		c.rearm(m)
 		return nil
 	}
-	cp := &c.dense[c.nd]
-	if m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m, c.skip, c.n) {
-		c.at = m.Steps
-		if onConverged == nil {
-			return errConverged
-		}
-		return nil
+	c.at = m.Steps
+	if onConverged == nil {
+		return errConverged
 	}
-	c.rearm(m)
 	return nil
-}
-
-func (c *convergenceChecker) Syscall(m *vm.Machine) error {
-	if c.at == 0 && m.Steps >= c.from {
-		for c.next < len(c.cps) && c.cps[c.next].m.Steps() < m.Steps {
-			c.next++
-		}
-		if c.next < len(c.cps) {
-			cp := &c.cps[c.next]
-			var match bool
-			if cp.live != nil {
-				match = m.MatchesLive(cp.m, cp.live) && c.k.Matches(cp.k)
-			} else {
-				match = m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m, c.skip, c.n)
-			}
-			if match {
-				c.at = m.Steps
-				if onConverged == nil {
-					return errConverged
-				}
-			}
-		}
-	}
-	return c.k.Syscall(m)
 }
 
 // rewind readies the worker machine for one run from snap with syscall

@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"faultsec/internal/asm"
@@ -890,22 +891,32 @@ alt: .ascii "no\r\n"
 `
 )
 
+// denseOnSyscallSrc is denseRejoinSrc with a wait after check that puts
+// the boundary before the write's int 0x80 at step 1,000, where the
+// shadow's first dense checkpoint falls too. The runs that rejoin at
+// the write stop there; the runs that differ in ESI at the write stop at
+// the next dense checkpoint, step 2,000.
+var denseOnSyscallSrc = strings.Replace(denseRejoinSrc, "\tcall check\n",
+	"\tcall check\n\tnop\n\tmov edi, 491\ndelay:\n\tdec edi\n\tjne delay\n", 1)
+
 // TestDenseCheckpointGuards checks the dense-checkpoint compare of byte
 // faults on images where a run holds the session's machine state at a
 // dense checkpoint it may not stop at: before the session's last
 // retirement of the corrupted branch, or with a different kernel
-// session. Each bitflip campaign must converge the pinned runs, at the
-// write's syscall entry (atWrite runs, step write) or at the first dense
-// checkpoint, step 1,000 (atDense runs), and give Stats equal to the
-// naive executor's.
+// session, and on one where a dense checkpoint and the write's coincide.
+// Each bitflip campaign must converge the pinned runs, at the boundary
+// before the write's int 0x80 (atWrite runs, step write) or at the
+// dense checkpoint the runs that differ at the write rejoin at (atDense
+// runs, step dense), and give Stats equal to the naive executor's.
 func TestDenseCheckpointGuards(t *testing.T) {
 	for _, c := range []struct {
 		name, src        string
 		atWrite, atDense int64
-		write            int64
+		write, dense     int64
 	}{
-		{"beforeLast", denseBeforeLastSrc, 0, 0, 0},
-		{"rejoin", denseRejoinSrc, 18, 5, 17},
+		{"beforeLast", denseBeforeLastSrc, 0, 0, 0, 0},
+		{"rejoin", denseRejoinSrc, 18, 5, 16, 1000},
+		{"onSyscall", denseOnSyscallSrc, 18, 5, 1000, 2000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			app, sc := guardApp(t, c.name, c.src)
@@ -925,7 +936,7 @@ func TestDenseCheckpointGuards(t *testing.T) {
 			}
 			end := int64(golden.Steps)
 			m := eng.Metrics()
-			if n, saved := c.atWrite+c.atDense, c.atWrite*(end-c.write)+c.atDense*(end-1000); m.ConvergedRuns != n || m.InstructionsSaved != saved {
+			if n, saved := c.atWrite+c.atDense, c.atWrite*(end-c.write)+c.atDense*(end-c.dense); m.ConvergedRuns != n || m.InstructionsSaved != saved {
 				t.Errorf("%d runs converged saving %d instructions, want %d saving %d", m.ConvergedRuns, m.InstructionsSaved, n, saved)
 			}
 			want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"faultsec/internal/classify"
 	"faultsec/internal/encoding"
 	"faultsec/internal/inject"
+	"faultsec/internal/kernel"
 	"faultsec/internal/target"
 	"faultsec/internal/x86"
 )
@@ -31,9 +33,9 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := groupByTarget(exps, nil)
-	text := inject.SweepText(app)
+	text := inject.SweepText(app, false)
 
-	sh, err := e.goldenShadow(golden, text, exps, groups)
+	sh, err := e.goldenShadow(golden, text, groups)
 	if err != nil {
 		t.Fatalf("true golden: %v", err)
 	}
@@ -53,7 +55,7 @@ func TestShadowMustReproduceGolden(t *testing.T) {
 	} {
 		forged := *golden
 		forge(&forged)
-		_, err := e.goldenShadow(&forged, text, exps, groups)
+		_, err := e.goldenShadow(&forged, text, groups)
 		if !errors.Is(err, errShadowDiverged) || !strings.Contains(err.Error(), "determinism violation") {
 			t.Errorf("forged golden %d: err = %v, want a determinism violation", i, err)
 		}
@@ -86,10 +88,11 @@ func TestShadowLivenessQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		groups := groupByTarget(exps, nil)
-		sh, err := e.goldenShadow(golden, inject.SweepText(app), exps, groups)
+		r, err := e.newRecord(golden, exps, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sh := r.sh
 		if len(sh.targets) != len(groups) {
 			t.Fatalf("%s: %d target facts for %d targets", model, len(sh.targets), len(groups))
 		}
@@ -133,6 +136,118 @@ func TestShadowLivenessQueries(t *testing.T) {
 		}
 		if opened == 0 {
 			t.Errorf("%s: the shadow retired no target", model)
+		}
+	}
+}
+
+// TestShadowCheckpointSchedule checks the golden shadow's one checkpoint
+// list on ftpd, sshd and httpd Client1 against a second replay of the
+// session, single-stepped on its own: the checkpoints ascend strictly by
+// step; each is that replay's machine and kernel state at its step; there
+// is one at every int 0x80 boundary (syscalls of them, pinned), and in a
+// bitflip campaign one at the first boundary at or past each denseK-th
+// step from the first target retirement on, a boundary both rules pick
+// counted once; in a regflip campaign exactly the int 0x80 ones hold a
+// live set. Only the regflip campaign's record holds flows.
+func TestShadowCheckpointSchedule(t *testing.T) {
+	for _, c := range []struct {
+		app      string
+		syscalls int
+	}{{"ftpd", 14}, {"sshd", 20}, {"httpd", 71}} {
+		for _, model := range []string{"bitflip", "regflip"} {
+			t.Run(model+"/"+c.app, func(t *testing.T) {
+				app, err := target.Build(c.app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, _ := app.Scenario("Client1")
+				e := New(Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: model})
+				exps, err := e.enumerate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fuel := e.cfg.effectiveFuel()
+				golden, err := inject.GoldenRun(app, sc, fuel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups := groupByTarget(exps, nil)
+				r, err := e.newRecord(golden, exps, groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (r.text.Flows != nil) != (model == "regflip") {
+					t.Errorf("record holds %d flows", len(r.text.Flows))
+				}
+				sh := r.sh
+				for i := 1; i < len(sh.cps); i++ {
+					if a, b := sh.cps[i-1].m.Steps(), sh.cps[i].m.Steps(); a >= b {
+						t.Fatalf("checkpoint %d at step %d follows one at step %d", i, b, a)
+					}
+				}
+
+				targets := make(map[uint32]bool, len(groups))
+				for _, g := range groups {
+					targets[g.addr] = true
+				}
+				k := kernel.New(sc.New())
+				ld, err := app.Image.Load(k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := ld.Machine
+				m.Fuel, m.NoICache = fuel, true
+				if err := m.Restore(m.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+				var nextDense uint64
+				syscalls, dense, both := 0, 0, 0
+				cpi := 0
+				var stepErr error
+				for stepErr == nil {
+					code, _ := m.Mem.Peek(m.EIP, 2)
+					sys := bytes.Equal(code, []byte{0xCD, 0x80})
+					den := nextDense != 0 && m.Steps >= nextDense
+					if den {
+						nextDense = (m.Steps/denseK + 1) * denseK
+					}
+					if targets[m.EIP] && nextDense == 0 && model == "bitflip" {
+						nextDense = (m.Steps/denseK + 1) * denseK
+					}
+					if sys || den {
+						switch {
+						case sys && den:
+							both++
+						case sys:
+							syscalls++
+						default:
+							dense++
+						}
+						if cpi >= len(sh.cps) || sh.cps[cpi].m.Steps() != m.Steps {
+							t.Fatalf("no checkpoint at step %d (int 0x80 %v, dense %v)", m.Steps, sys, den)
+						}
+						cp := &sh.cps[cpi]
+						if !m.MatchesArch(cp.m) || !m.MatchesMemory(cp.m, 0, 0) || !k.Matches(cp.k) {
+							t.Errorf("checkpoint at step %d is not the session's state there", m.Steps)
+						}
+						if (cp.live != nil) != (model == "regflip" && sys) {
+							t.Errorf("checkpoint at step %d (int 0x80 %v): live set %v", m.Steps, sys, cp.live != nil)
+						}
+						cpi++
+					}
+					stepErr = m.Step()
+				}
+				if cpi != len(sh.cps) {
+					t.Errorf("the replay ended (%v) with %d of %d checkpoints met", stepErr, cpi, len(sh.cps))
+				}
+				if syscalls+both != c.syscalls {
+					t.Errorf("%d int 0x80 boundaries, want %d", syscalls+both, c.syscalls)
+				}
+				if got, want := len(sh.cps), syscalls+dense+both; got != want {
+					t.Errorf("%d checkpoints for %d int 0x80 and %d dense boundaries, %d of them both", got, syscalls+both, dense+both, both)
+				}
+				t.Logf("%d checkpoints: %d int 0x80 boundaries, %d dense, %d both", len(sh.cps), syscalls+both, dense+both, both)
+			})
 		}
 	}
 }

@@ -50,12 +50,12 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 		saved       int64
 		interpreted int64
 	}{
-		{"regflip", "ftpd", 8880, 1_165_978_842, 36_653_143},
-		{"regflip", "sshd", 8883, 2_106_007_157, 92_225_411},
-		{"regflip", "httpd", 5305, 360_647_033, 27_292_781},
-		{"bitflip", "ftpd", 191, 25_872_616, 10_377_256},
-		{"bitflip", "sshd", 186, 27_365_314, 43_319_907},
-		{"bitflip", "httpd", 111, 8_391_619, 7_408_434},
+		{"regflip", "ftpd", 8880, 1_165_979_466, 36_652_519},
+		{"regflip", "sshd", 8883, 2_106_007_592, 92_224_976},
+		{"regflip", "httpd", 5305, 360_647_410, 27_292_404},
+		{"bitflip", "ftpd", 191, 25_872_618, 10_377_254},
+		{"bitflip", "sshd", 186, 27_365_366, 43_319_855},
+		{"bitflip", "httpd", 111, 8_391_621, 7_408_432},
 	} {
 		name := c.app
 		if c.model != "regflip" {

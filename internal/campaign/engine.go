@@ -25,12 +25,12 @@
 //     free and wall-clock scales with cores.
 //
 //   - Golden convergence. One fault-free replay per campaign checkpoints
-//     the session at every syscall entry and, in a campaign without
-//     register faults, every 1,000 steps. A run stops as soon as its
-//     whole state equals the session's at the same step, apart from the
-//     bytes a persistent fault poked that the session never retires or
-//     reads again; the rest of its outcome is the golden one
-//     (converge.go).
+//     the session at the instruction boundary before every int 0x80 and,
+//     in a campaign without register faults, every 1,000 steps. A run's
+//     step alarm stops it at each checkpoint, and the run ends as soon as
+//     its whole state equals the session's there, apart from the bytes a
+//     persistent fault poked that the session never retires or reads
+//     again; the rest of its outcome is the golden one (converge.go).
 //
 //   - Journaling. Every completed run is recorded in the campaign's
 //     Ledger (ledger.go), which appends it to a JSONL journal with periodic
@@ -276,19 +276,33 @@ type record struct {
 // newRecord builds the golden record of a campaign whose fault-free
 // session is golden and whose groups are left to run.
 func (e *Engine) newRecord(golden *classify.Golden, exps []inject.Experiment, groups []group) (*record, error) {
-	r := &record{golden: golden, text: inject.SweepText(e.cfg.App)}
+	converge := !e.cfg.NoDirtyTracking && len(groups) > 0
+	r := &record{golden: golden, text: inject.SweepText(e.cfg.App, converge && regFaults(exps, groups))}
 	if e.cfg.Watchdog {
 		r.cfValid = r.text.Starts()
 	}
-	if e.cfg.NoDirtyTracking || len(groups) == 0 {
+	if !converge {
 		return r, nil
 	}
-	sh, err := e.goldenShadow(golden, r.text, exps, groups)
+	sh, err := e.goldenShadow(golden, r.text, groups)
 	if err != nil && !errors.Is(err, errShadowDiverged) {
 		return nil, err
 	}
 	r.sh = sh
 	return r, nil
+}
+
+// regFaults reports whether any experiment of groups is a register fault:
+// only then does the golden shadow log the flows its liveness pass reads.
+func regFaults(exps []inject.Experiment, groups []group) bool {
+	for i := range groups {
+		for _, idx := range groups[i].indices {
+			if exps[idx].Mut.Kind == inject.MutReg {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // goldenEnd is the fault-free session's observable end, activated at
@@ -521,12 +535,8 @@ func (c *campaignRun) runGroup(ctx context.Context, wm *vm.Machine, g *group, sn
 		if !dead || onConverged != nil {
 			fresh := c.e.cfg.Scenario.New()
 			k2 := snap.k.NewKernel(fresh)
-			var sys vm.SyscallHandler = k2
-			if sh != nil {
-				sys = &chk
-			}
 			var err error
-			if wm, err = rewind(wm, snap, sys); err != nil {
+			if wm, err = rewind(wm, snap, k2); err != nil {
 				c.fail(fmt.Errorf("campaign: restore at %#x: %w", g.addr, err))
 				return wm
 			}
@@ -591,14 +601,14 @@ type Work struct {
 	// Config.NoDirtyTracking).
 	DirtyBytesCopied int64 `json:"dirtyBytesCopied"`
 	FullRestores     int64 `json:"fullRestores"`
-	// ConvergedRuns counts runs stopped at a syscall entry or a dense
-	// checkpoint where their whole state equalled the fault-free
-	// session's, apart from poked bytes the session never retires or
-	// reads again; register-fault runs
-	// stopped at a syscall entry where every register lane, flag and
-	// memory byte they still differed in was dead (not strongly live);
-	// and register faults into lanes dead at their activation, which stop
-	// there.
+	// ConvergedRuns counts runs stopped at a golden checkpoint (the
+	// instruction boundary before an int 0x80, or a dense one) where
+	// their whole state equalled the fault-free session's, apart from
+	// poked bytes the session never retires or reads again;
+	// register-fault runs stopped at a checkpoint where every register
+	// lane, flag and memory byte they still differed in was dead (not
+	// strongly live); and register faults into lanes dead at their
+	// activation, which stop there.
 	// InstructionsSaved is the golden instructions those runs therefore
 	// did not interpret (golden steps minus each convergence step).
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`

@@ -202,7 +202,7 @@ func RunExperimentsNaive(ctx context.Context, cfg Config, experiments []Experime
 	}
 	var cfValid map[uint32]struct{}
 	if cfg.Watchdog {
-		cfValid = SweepText(cfg.App).Starts()
+		cfValid = SweepText(cfg.App, false).Starts()
 	}
 
 	workers := cfg.Parallelism

@@ -302,33 +302,54 @@ func ResultFromRun(golden *classify.Golden, ex Experiment, run *classify.Run,
 }
 
 // Text is an app's pristine text, swept once: every valid instruction
-// start and the instruction's data flow (x86.RegFlow).
+// start, which of them enter the kernel, and, when the sweep asks for
+// them, the instructions' data flows (x86.RegFlow).
 type Text struct {
-	// Flows holds the instructions' flows in address order.
+	// Flows holds the instructions' flows in address order; nil when the
+	// sweep did not ask for them.
 	Flows []x86.Flow
-	at    map[uint32]int32 // valid start -> index into Flows
+	at    map[uint32]Start
 }
 
-// SweepText builds app's Text in one linear sweep. It is the one definition
-// of a valid instruction start: the control-flow watchdog's signature set
-// and the golden shadow's control-flow guard.
-func SweepText(app *target.App) *Text {
+// Start is what a Text holds of one valid instruction start.
+type Start struct {
+	// Index is the instruction's position in address order, the index of
+	// its flow in Flows.
+	Index int32
+	// Syscall marks an int 0x80, the one instruction the VM serves through
+	// its syscall handler.
+	Syscall bool
+}
+
+// SweepText builds app's Text in one linear sweep, with each
+// instruction's flow when flows is set. It is the one definition of a
+// valid instruction start: the control-flow watchdog's signature set and
+// the golden shadow's control-flow guard.
+func SweepText(app *target.App, flows bool) *Text {
 	entries := disasm.Sweep(app.Image.Text, app.Image.TextBase, 0, uint32(len(app.Image.Text)))
-	t := &Text{Flows: make([]x86.Flow, 0, len(entries)), at: make(map[uint32]int32, len(entries))}
+	t := &Text{at: make(map[uint32]Start, len(entries))}
+	if flows {
+		t.Flows = make([]x86.Flow, 0, len(entries))
+	}
+	n := int32(0)
 	for _, e := range entries {
-		if !e.Bad {
-			t.at[e.Addr] = int32(len(t.Flows))
+		if e.Bad {
+			continue
+		}
+		t.at[e.Addr] = Start{Index: n, Syscall: e.Inst.Op == x86.OpIntN && e.Inst.Imm == 0x80}
+		if flows {
 			t.Flows = append(t.Flows, x86.RegFlow(&e.Inst))
 		}
+		n++
 	}
 	return t
 }
 
-// At returns the Flows index of the instruction starting at addr, and
+// At returns what t holds of the instruction starting at addr, and
 // whether addr is a valid instruction start.
-func (t *Text) At(addr uint32) (int32, bool) {
-	i, ok := t.at[addr]
-	return i, ok
+func (t *Text) At(addr uint32) (Start, bool) {
+	s, ok := t.at[addr]
+	return s, ok
 }
 
 // Starts returns the valid instruction starts, the set the control-flow
