@@ -20,16 +20,16 @@ import (
 // engine replays the fault-free session — the golden shadow — recording a
 // checkpoint at the instruction boundary before each int 0x80 and, for
 // every target, the first and last steps at which the session retires it.
-// A campaign without register faults also checkpoints the first boundary
-// at or past every denseK-th step. All checkpoints form one list in step
-// order. Each injected run's step alarm halts it at every checkpoint
-// past its activation, where the run is compared against the checkpoint
-// and ends on an exact match: registers, EIP, flags and TSC first, then
-// the kernel session, then every page either run wrote, skipping only
-// the bytes the injector poked. A persistent byte fault may stop only
-// where the session never again retires the corrupted instruction. The
-// run's result is built from the golden end state instead of
-// interpreting the remaining instructions.
+// From the first retirement of a target on, it also checkpoints the first
+// boundary at or past every denseK-th step. All checkpoints form one list
+// in step order, whatever the fault model. Each injected run's step alarm
+// halts it at every checkpoint past its activation, where the run is
+// compared against the checkpoint and ends on an exact match: registers,
+// EIP, flags, TSC and every page either run wrote, skipping only the
+// bytes the injector poked, then the kernel session. A persistent byte
+// fault may stop only where the session never again retires the
+// corrupted instruction. The run's result is built from the golden end
+// state instead of interpreting the remaining instructions.
 //
 // In a campaign with register faults the same replay also answers, for
 // every target, which register byte lanes are strongly live at its first
@@ -41,10 +41,10 @@ import (
 // lanes that are not strongly live cannot change the run: it is the
 // golden session from its activation on, and is recorded as such without
 // interpreting anything. The same argument holds from any checkpoint,
-// so the pass also keeps the live set at every checkpoint, and a register
-// fault's run stops at a checkpoint where its step count, EIP, TSC and
-// kernel session match exactly and every register lane, flag and byte it
-// still differs in is dead. The replay logs each step's data flow
+// so the pass also keeps the live set at every checkpoint, dense ones
+// included, and a register fault's run stops at a checkpoint where its
+// step count, EIP, TSC and kernel session match exactly and every
+// register lane, flag and byte it still differs in is dead. The replay logs each step's data flow
 // (x86.RegFlow) with the data addresses it touches, and the kernel's
 // copies to and from guest memory; one backward pass over register lanes,
 // flags and the bytes of the writable regions answers every target and
@@ -185,9 +185,9 @@ func (sh *shadow) Syscall(m *vm.Machine) error {
 // One lookup per step in text serves as that second guard, marks the
 // int 0x80 steps the replay checkpoints before and, in a campaign with
 // register faults (text holds flows), yields the step's entry in the flow
-// log the liveness pass reads. A campaign without them also checkpoints
-// the dense boundaries, from the first retirement of a target on: no run
-// activates earlier.
+// log the liveness pass reads. The replay also checkpoints the dense
+// boundaries, from the first retirement of a target on: no run activates
+// earlier.
 func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, groups []group) (*shadow, error) {
 	client := e.cfg.Scenario.New()
 	sh := &shadow{k: kernel.New(client), targets: make(map[uint32]*retirement, len(groups))}
@@ -197,9 +197,7 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, groups
 	}
 	m := ld.Machine
 	m.Fuel = e.cfg.effectiveFuel()
-	// One pass over the session gains little from predecoding, and the
-	// decode tables would be garbage as soon as the replay ends.
-	m.NoICache = true
+	m.Tuning = e.cfg.Tuning
 	if err := m.Restore(m.Snapshot()); err != nil {
 		return nil, fmt.Errorf("campaign: shadow: %w", err)
 	}
@@ -217,9 +215,9 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, groups
 	}
 	var endErr error
 	// nextDense is the step of the next dense checkpoint, 0 until a
-	// target retires and none at all in a campaign with register faults.
-	// Any checkpoint moves it to the first multiple of denseK past its
-	// step, which an int 0x80 checkpoint before it leaves as it was.
+	// target retires. Any checkpoint moves it to the first multiple of
+	// denseK past its step, which an int 0x80 checkpoint before it leaves
+	// as it was.
 	var nextDense uint64
 	for endErr == nil {
 		in, ok := text.At(m.EIP)
@@ -239,7 +237,7 @@ func (e *Engine) goldenShadow(golden *classify.Golden, text *inject.Text, groups
 		if t := sh.targets[m.EIP]; t != nil {
 			if t.last == 0 {
 				t.first = m.Steps
-				if nextDense == 0 && sh.flow == nil {
+				if nextDense == 0 {
 					nextDense = (m.Steps/denseK + 1) * denseK
 				}
 			}
@@ -560,13 +558,7 @@ func (c *convergenceChecker) rearm(m *vm.Machine) {
 // the alarm moves on to the next checkpoint. A match arms nothing more.
 func (c *convergenceChecker) alarm(m *vm.Machine) error {
 	cp := &c.cps[c.next]
-	var match bool
-	if cp.live != nil {
-		match = m.MatchesLive(cp.m, cp.live) && c.k.Matches(cp.k)
-	} else {
-		match = m.MatchesArch(cp.m) && c.k.Matches(cp.k) && m.MatchesMemory(cp.m, c.skip, c.n)
-	}
-	if !match {
+	if !m.Matches(cp.m, cp.live, c.skip, c.n) || !c.k.Matches(cp.k) {
 		c.rearm(m)
 		return nil
 	}

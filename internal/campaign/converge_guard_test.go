@@ -951,3 +951,105 @@ func TestDenseCheckpointGuards(t *testing.T) {
 		})
 	}
 }
+
+// denseLiveSrc tests ESI, 5, which keeps every lane of it live at check's
+// targets, though no single-bit fault zeroes it. It then pushes
+// ESI, clears it and spins for 6,000 steps before the first int 0x80,
+// so the shadow records dense checkpoints while a run differs from the
+// session only in the pushed slot. Only the slot's low byte is read,
+// after the spin, into the write's count. A fault in ESI's bits 8-31
+// leaves only dead bytes different and stops at the first dense
+// checkpoint, step 1,000. One in bits 2-7 differs in a live byte there
+// and stops only at the write's boundary, once the count is taken; one
+// in bits 0-1 changes the count.
+const denseLiveSrc = `
+.text
+.global _start
+.func _start
+_start:
+	mov esi, 5
+	call check
+	test esi, esi
+	je exit
+	push esi
+	mov esi, 0
+	mov ecx, 3000
+spin:
+	dec ecx
+	jne spin
+	movzx edx, byte [esp]
+	add esp, 4
+	and edx, 3
+	add edx, 1
+	mov eax, 4
+	mov ebx, 1
+	mov ecx, msg
+	int 0x80
+exit:
+	mov eax, 1
+	mov ebx, 0
+	int 0x80
+.endfunc
+` + checkSrc + `
+.data
+flag: .dd 0
+msg: .ascii "ok\r\n"
+`
+
+// TestDenseLiveCheckpointGuard checks the liveness-relaxed compare at
+// dense checkpoints on denseLiveSrc: a run that differs at a dense
+// checkpoint in a stack byte read before the next syscall may not stop
+// there, and one that differs only in dead bytes does. At each of
+// check's two targets the 6 × 32 faults in registers dead there (see the
+// live-checkpoint guard images) stop at activation, 24 ESI faults at
+// step 1,000 and 6 at the boundary before the write's int 0x80, step
+// write. The regflip campaign's Stats must equal the naive executor's.
+func TestDenseLiveCheckpointGuard(t *testing.T) {
+	const atDense, atWrite, write = 24, 6, 6018
+	app, sc := guardApp(t, "denseLive", denseLiveSrc)
+	cfg := campaign.Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: "regflip",
+		KeepResults: true, Parallelism: 1}
+	exps, err := campaign.EnumerateConfig(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := campaign.New(cfg)
+	got, err := eng.RunExperiments(context.Background(), exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := inject.GoldenRun(app, sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int64(golden.Steps)
+	var n, saved int64
+	seen := map[uint32]bool{}
+	for _, ex := range exps {
+		if seen[ex.Target.Addr] {
+			continue
+		}
+		seen[ex.Target.Addr] = true
+		s, err := inject.Activate(app, sc, ex.Target.Addr, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += 6*32 + atDense + atWrite
+		saved += 6*32*(end-int64(s.ActivationSteps)) + atDense*(end-1000) + atWrite*(end-write)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("%d targets, want check's branch and ret", len(seen))
+	}
+	if m := eng.Metrics(); m.ConvergedRuns != n || m.InstructionsSaved != saved {
+		t.Errorf("%d runs converged saving %d instructions, want %d saving %d", m.ConvergedRuns, m.InstructionsSaved, n, saved)
+	}
+	want, err := inject.RunExperimentsNaive(context.Background(), inject.Config{
+		App: app, Scenario: sc, Scheme: encoding.SchemeX86, KeepResults: true, Parallelism: 1,
+	}, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats differ from the naive executor\ngot:  %+v\nwant: %+v", statsSummary(got), statsSummary(want))
+	}
+}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,26 +142,28 @@ func TestShadowLivenessQueries(t *testing.T) {
 }
 
 // TestShadowCheckpointSchedule checks the golden shadow's one checkpoint
-// list on ftpd, sshd and httpd Client1 against a second replay of the
+// schedule on ftpd, sshd and httpd Client1 against a second replay of the
 // session, single-stepped on its own: the checkpoints ascend strictly by
 // step; each is that replay's machine and kernel state at its step; there
-// is one at every int 0x80 boundary (syscalls of them, pinned), and in a
-// bitflip campaign one at the first boundary at or past each denseK-th
-// step from the first target retirement on, a boundary both rules pick
-// counted once; in a regflip campaign exactly the int 0x80 ones hold a
-// live set. Only the regflip campaign's record holds flows.
+// is one at every int 0x80 boundary and one at the first boundary at or
+// past each denseK-th step from the first target retirement on, a
+// boundary both rules pick counted once (counts pinned). The bitflip and
+// regflip records checkpoint at the same steps; every regflip checkpoint
+// holds a live set and no bitflip one does. Only the regflip record holds
+// flows.
 func TestShadowCheckpointSchedule(t *testing.T) {
 	for _, c := range []struct {
-		app      string
-		syscalls int
-	}{{"ftpd", 14}, {"sshd", 20}, {"httpd", 71}} {
+		app             string
+		syscalls, dense int
+	}{{"ftpd", 14, 146}, {"sshd", 20, 266}, {"httpd", 71, 115}} {
+		app, err := target.Build(c.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, _ := app.Scenario("Client1")
+		steps := map[string][]uint64{}
 		for _, model := range []string{"bitflip", "regflip"} {
 			t.Run(model+"/"+c.app, func(t *testing.T) {
-				app, err := target.Build(c.app)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc, _ := app.Scenario("Client1")
 				e := New(Config{App: app, Scenario: sc, Scheme: encoding.SchemeX86, Model: model})
 				exps, err := e.enumerate()
 				if err != nil {
@@ -208,10 +211,7 @@ func TestShadowCheckpointSchedule(t *testing.T) {
 					code, _ := m.Mem.Peek(m.EIP, 2)
 					sys := bytes.Equal(code, []byte{0xCD, 0x80})
 					den := nextDense != 0 && m.Steps >= nextDense
-					if den {
-						nextDense = (m.Steps/denseK + 1) * denseK
-					}
-					if targets[m.EIP] && nextDense == 0 && model == "bitflip" {
+					if den || targets[m.EIP] && nextDense == 0 {
 						nextDense = (m.Steps/denseK + 1) * denseK
 					}
 					if sys || den {
@@ -227,12 +227,13 @@ func TestShadowCheckpointSchedule(t *testing.T) {
 							t.Fatalf("no checkpoint at step %d (int 0x80 %v, dense %v)", m.Steps, sys, den)
 						}
 						cp := &sh.cps[cpi]
-						if !m.MatchesArch(cp.m) || !m.MatchesMemory(cp.m, 0, 0) || !k.Matches(cp.k) {
+						if !m.Matches(cp.m, nil, 0, 0) || !k.Matches(cp.k) {
 							t.Errorf("checkpoint at step %d is not the session's state there", m.Steps)
 						}
-						if (cp.live != nil) != (model == "regflip" && sys) {
+						if (cp.live != nil) != (model == "regflip") {
 							t.Errorf("checkpoint at step %d (int 0x80 %v): live set %v", m.Steps, sys, cp.live != nil)
 						}
+						steps[model] = append(steps[model], m.Steps)
 						cpi++
 					}
 					stepErr = m.Step()
@@ -240,14 +241,16 @@ func TestShadowCheckpointSchedule(t *testing.T) {
 				if cpi != len(sh.cps) {
 					t.Errorf("the replay ended (%v) with %d of %d checkpoints met", stepErr, cpi, len(sh.cps))
 				}
-				if syscalls+both != c.syscalls {
-					t.Errorf("%d int 0x80 boundaries, want %d", syscalls+both, c.syscalls)
+				if syscalls+both != c.syscalls || dense+both != c.dense {
+					t.Errorf("%d int 0x80 and %d dense boundaries, want %d and %d", syscalls+both, dense+both, c.syscalls, c.dense)
 				}
 				if got, want := len(sh.cps), syscalls+dense+both; got != want {
 					t.Errorf("%d checkpoints for %d int 0x80 and %d dense boundaries, %d of them both", got, syscalls+both, dense+both, both)
 				}
-				t.Logf("%d checkpoints: %d int 0x80 boundaries, %d dense, %d both", len(sh.cps), syscalls+both, dense+both, both)
 			})
+		}
+		if !slices.Equal(steps["bitflip"], steps["regflip"]) {
+			t.Errorf("%s: bitflip checkpoints at %v, regflip at %v", c.app, steps["bitflip"], steps["regflip"])
 		}
 	}
 }

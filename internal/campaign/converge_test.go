@@ -51,8 +51,8 @@ func TestGoldenConvergenceCounterPin(t *testing.T) {
 		interpreted int64
 	}{
 		{"regflip", "ftpd", 8880, 1_165_979_466, 36_652_519},
-		{"regflip", "sshd", 8883, 2_106_007_592, 92_224_976},
-		{"regflip", "httpd", 5305, 360_647_410, 27_292_404},
+		{"regflip", "sshd", 8883, 2_112_319_436, 85_913_132},
+		{"regflip", "httpd", 5305, 360_648_650, 27_291_164},
 		{"bitflip", "ftpd", 191, 25_872_618, 10_377_254},
 		{"bitflip", "sshd", 186, 27_365_366, 43_319_855},
 		{"bitflip", "httpd", 111, 8_391_621, 7_408_432},

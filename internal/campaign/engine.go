@@ -25,12 +25,13 @@
 //     free and wall-clock scales with cores.
 //
 //   - Golden convergence. One fault-free replay per campaign checkpoints
-//     the session at the instruction boundary before every int 0x80 and,
-//     in a campaign without register faults, every 1,000 steps. A run's
-//     step alarm stops it at each checkpoint, and the run ends as soon as
-//     its whole state equals the session's there, apart from the bytes a
-//     persistent fault poked that the session never retires or reads
-//     again; the rest of its outcome is the golden one (converge.go).
+//     the session at the instruction boundary before every int 0x80 and
+//     every 1,000 steps, whatever the fault model. A run's step alarm
+//     stops it at each checkpoint, and the run ends as soon as its state
+//     equals the session's there, apart from the bytes a persistent
+//     fault poked that the session never retires or reads again and, in
+//     a campaign with register faults, the locations dead there; the
+//     rest of its outcome is the golden one (converge.go).
 //
 //   - Journaling. Every completed run is recorded in the campaign's
 //     Ledger (ledger.go), which appends it to a JSONL journal with periodic
@@ -106,9 +107,10 @@ type Config struct {
 	// disables caching regardless of mode.
 	Cache *castore.Store
 	// Tuning holds the VM ablation knobs, applied to every machine the
-	// engine creates; outcomes are bit-identical under any setting.
-	// NoDirtyTracking also turns off the golden-convergence exit, which
-	// compares dirty pages, so every run executes to its end.
+	// engine creates, the golden shadow's included; outcomes are
+	// bit-identical under any setting. NoDirtyTracking also turns off the
+	// golden-convergence exit, which compares dirty pages, so every run
+	// executes to its end.
 	vm.Tuning
 }
 
@@ -605,10 +607,10 @@ type Work struct {
 	// instruction boundary before an int 0x80, or a dense one) where
 	// their whole state equalled the fault-free session's, apart from
 	// poked bytes the session never retires or reads again;
-	// register-fault runs stopped at a checkpoint where every register
-	// lane, flag and memory byte they still differed in was dead (not
-	// strongly live); and register faults into lanes dead at their
-	// activation, which stop there.
+	// register-fault runs stopped at such a checkpoint, dense or not,
+	// where every register lane, flag and memory byte they still
+	// differed in was dead (not strongly live); and register faults into
+	// lanes dead at their activation, which stop there.
 	// InstructionsSaved is the golden instructions those runs therefore
 	// did not interpret (golden steps minus each convergence step).
 	ConvergedRuns     int64 `json:"convergedRuns,omitempty"`

@@ -277,7 +277,7 @@ func (s *Study) PersistentWindow(ctx context.Context, app *target.App, n int,
 		if r.Outcome != classify.OutcomeBRK {
 			continue
 		}
-		res, ok, perr := s.tryPersistent(app, sc, r.Experiment, n)
+		res, ok, perr := s.tryPersistent(app, sc, r.Experiment, n, inject.EffectiveFuel(opts.Fuel))
 		if perr != nil {
 			return nil, perr
 		}
@@ -289,9 +289,10 @@ func (s *Study) PersistentWindow(ctx context.Context, app *target.App, n int,
 }
 
 // tryPersistent applies the corruption statically (resident corrupted
-// page) and checks that the break-in reproduces on every connection.
+// page) and checks that the break-in reproduces on every connection, each
+// run at the campaign's fuel.
 func (s *Study) tryPersistent(app *target.App, sc target.Scenario,
-	ex inject.Experiment, n int) (*PersistentWindowResult, bool, error) {
+	ex inject.Experiment, n int, fuel uint64) (*PersistentWindowResult, bool, error) {
 	corrupted := make([]byte, len(app.Image.Text))
 	copy(corrupted, app.Image.Text)
 	off := ex.Target.Addr - app.Image.TextBase
@@ -299,7 +300,7 @@ func (s *Study) tryPersistent(app *target.App, sc target.Scenario,
 
 	res := &PersistentWindowResult{Experiment: ex}
 	for i := 0; i < n; i++ {
-		granted, err := runConnection(app, sc, corrupted)
+		granted, err := runConnection(app, sc, corrupted, fuel)
 		if err != nil {
 			return nil, false, err
 		}
@@ -308,7 +309,7 @@ func (s *Study) tryPersistent(app *target.App, sc target.Scenario,
 		}
 		res.GrantedPerConnection = append(res.GrantedPerConnection, granted)
 	}
-	granted, err := runConnection(app, sc, nil) // pristine text: page reloaded
+	granted, err := runConnection(app, sc, nil, fuel) // pristine text: page reloaded
 	if err != nil {
 		return nil, false, err
 	}
@@ -317,23 +318,25 @@ func (s *Study) tryPersistent(app *target.App, sc target.Scenario,
 }
 
 // runConnection runs one client session against the given text bytes
-// (nil = pristine) and reports whether access was granted.
-func runConnection(app *target.App, sc target.Scenario, text []byte) (bool, error) {
+// (nil = pristine) on fuel instructions and reports whether access was
+// granted.
+func runConnection(app *target.App, sc target.Scenario, text []byte, fuel uint64) (bool, error) {
 	client := sc.New()
 	k := kernel.New(client)
 	ld, err := app.Image.Load(k, text)
 	if err != nil {
 		return false, err
 	}
+	ld.Machine.Fuel = fuel
 	runErr := ld.Machine.Run()
 	var exit *vm.ExitStatus
 	var fault *vm.Fault
 	var hang *kernel.HangError
-	var fuel *vm.OutOfFuel
+	var out *vm.OutOfFuel
 	var flood *kernel.FloodError
 	switch {
 	case errors.As(runErr, &exit), errors.As(runErr, &fault),
-		errors.As(runErr, &hang), errors.As(runErr, &fuel),
+		errors.As(runErr, &hang), errors.As(runErr, &out),
 		errors.As(runErr, &flood):
 		return client.Granted(), nil
 	}

@@ -45,7 +45,7 @@ type workerState struct {
 	// attemptCancel aborts the worker's in-flight shard attempt (set
 	// under Coordinator.mu); the health loop fires it when the worker
 	// stops answering, so a dead worker's lease frees before its
-	// LeaseTimeout.
+	// leaseTimeout.
 	attemptCancel context.CancelFunc
 }
 
@@ -193,7 +193,7 @@ func (c *Coordinator) runner(ctx context.Context, ws *workerState) {
 			return
 		}
 		spec := c.specFor(sh)
-		actx, acancel := context.WithTimeout(ctx, c.cfg.leaseTimeout())
+		actx, acancel := context.WithTimeout(ctx, leaseTimeout)
 		c.setAttemptCancel(ws, acancel)
 		work, err := ws.w.RunShard(actx, spec, func(idx int, wr *campaign.WireResult) {
 			c.deliver(sh, ws, idx, wr)
@@ -369,9 +369,9 @@ func (c *Coordinator) failLocked(err error) {
 
 // healthLoop heartbeats one worker. Two consecutive failures mark it
 // unhealthy and cancel its in-flight attempt (freeing the lease well
-// before LeaseTimeout); one success re-admits it.
+// before leaseTimeout); one success re-admits it.
 func (c *Coordinator) healthLoop(ctx context.Context, ws *workerState) {
-	t := time.NewTicker(c.cfg.heartbeatEvery())
+	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
 	fails := 0
 	for {
@@ -380,7 +380,7 @@ func (c *Coordinator) healthLoop(ctx context.Context, ws *workerState) {
 			return
 		case <-t.C:
 		}
-		hctx, cancel := context.WithTimeout(ctx, c.cfg.heartbeatEvery())
+		hctx, cancel := context.WithTimeout(ctx, heartbeatEvery)
 		err := ws.w.Healthy(hctx)
 		cancel()
 		if err != nil {

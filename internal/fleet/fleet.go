@@ -116,9 +116,6 @@ type Config struct {
 	// ShardRuns is the target number of experiments per shard; 0 derives
 	// a default from the campaign size and worker count.
 	ShardRuns int
-	// LeaseTimeout bounds one shard attempt; an attempt that exceeds it
-	// is abandoned and the shard re-leased. 0 means DefaultLeaseTimeout.
-	LeaseTimeout time.Duration
 	// StragglerAfter is how long a sole attempt may run before an idle
 	// worker speculatively joins the shard (first completed attempt
 	// wins; duplicates are verified byte-identical). 0 means
@@ -131,27 +128,23 @@ type Config struct {
 	// a shard's failed attempts. 0 means the defaults.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HeartbeatEvery is the worker health-check cadence. 0 means
-	// DefaultHeartbeatEvery.
-	HeartbeatEvery time.Duration
 }
 
 // Tuning defaults.
 const (
-	DefaultLeaseTimeout   = 2 * time.Minute
 	DefaultStragglerAfter = 20 * time.Second
 	DefaultMaxAttempts    = 4
 	DefaultRetryBase      = 100 * time.Millisecond
 	DefaultRetryMax       = 5 * time.Second
-	DefaultHeartbeatEvery = 2 * time.Second
 )
 
-func (c *Config) leaseTimeout() time.Duration {
-	if c.LeaseTimeout <= 0 {
-		return DefaultLeaseTimeout
-	}
-	return c.LeaseTimeout
-}
+const (
+	// leaseTimeout bounds one shard attempt; an attempt that exceeds it
+	// is abandoned and the shard re-leased.
+	leaseTimeout = 2 * time.Minute
+	// heartbeatEvery is the worker health-check cadence.
+	heartbeatEvery = 2 * time.Second
+)
 
 func (c *Config) stragglerAfter() time.Duration {
 	if c.StragglerAfter <= 0 {
@@ -179,13 +172,6 @@ func (c *Config) retryMax() time.Duration {
 		return DefaultRetryMax
 	}
 	return c.RetryMax
-}
-
-func (c *Config) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery <= 0 {
-		return DefaultHeartbeatEvery
-	}
-	return c.HeartbeatEvery
 }
 
 // backoff returns the delay before a shard's next attempt: base doubled

@@ -17,7 +17,7 @@ import (
 // and asks each injected run stopped there whether it has rejoined it. A
 // Checkpoint keeps no reference to its snapshot: the runs it is compared
 // against hold a later snapshot of the same session, which equals it
-// outside the checkpoint's written pages (see MatchesMemory).
+// outside the checkpoint's written pages (see Matches).
 //
 // A Checkpoint is immutable after capture and safe for concurrent use.
 type Checkpoint struct {
@@ -79,32 +79,6 @@ func (m *Machine) Checkpoint() *Checkpoint {
 	return c
 }
 
-// MatchesArch reports whether the machine's registers, EIP, EFLAGS, step
-// count and TSC equal the checkpoint's, and the machine tracks its writes
-// (without dirty tracking its memory cannot be compared). It is the cheap
-// first half of a convergence test.
-func (m *Machine) MatchesArch(c *Checkpoint) bool {
-	return c != nil && m.lastSnap != nil && m.Steps == c.steps &&
-		m.EIP == c.eip && m.Flags == c.flags && m.TSC == c.tsc && m.Regs == c.regs
-}
-
-// MatchesMemory reports whether the machine's address space equals the
-// checkpoint's byte for byte, except for the n bytes at skip (n = 0
-// skips nothing): the injector's poked span, which a persistent fault
-// leaves different for good.
-//
-// The checkpoint's machine was restored from a snapshot B; this machine
-// was restored from a snapshot S. The caller guarantees that B and S are
-// states of one session and that S is no later than the checkpoint: every
-// page the session wrote between B and S is then in the checkpoint's
-// dirty set, so outside that set S still holds B's bytes. Only the union
-// of the two dirty sets can therefore differ, and only it is compared:
-// against the checkpoint's copy where it has one, and elsewhere against
-// S, which there equals B. The region layouts are checked here.
-func (m *Machine) MatchesMemory(c *Checkpoint, skip uint32, n int) bool {
-	return m.matchMemory(c, skip, n, nil)
-}
-
 // Live is the strongly live locations of a session at one checkpoint:
 // the register byte lanes, the EFLAGS bits and, per writable region, the
 // live bytes. Memory is kept sparsely: only the 64-byte pages that hold a
@@ -124,30 +98,40 @@ type LivePages struct {
 	Bits  []uint64
 }
 
-// MatchesLive is the convergence test relaxed to the locations live at
-// checkpoint c: the step count, EIP and TSC must equal c's, and so must
-// every register lane, EFLAGS bit and memory byte live holds; any other
-// location may differ. The memory compare walks the same union of dirty
-// pages as MatchesMemory, under the same caller guarantee.
-func (m *Machine) MatchesLive(c *Checkpoint, live *Live) bool {
+// Matches is the convergence test: whether the machine has rejoined the
+// session at checkpoint c. The step count, EIP and TSC must equal c's,
+// and so must every register lane, EFLAGS bit and memory byte that live
+// holds, except the n bytes at skip (n = 0 skips nothing): the
+// injector's poked span, which a persistent fault leaves different for
+// good. A nil live holds every location, so the compare is exact. The
+// machine must track its writes: without dirty tracking its memory
+// cannot be compared.
+//
+// The checkpoint's machine was restored from a snapshot B; this machine
+// was restored from a snapshot S. The caller guarantees that B and S are
+// states of one session and that S is no later than the checkpoint: every
+// page the session wrote between B and S is then in the checkpoint's
+// dirty set, so outside that set S still holds B's bytes. Only the union
+// of the two dirty sets can therefore differ, and only it is compared:
+// against the checkpoint's copy where it has one, and elsewhere against
+// S, which there equals B. The region layouts are checked here.
+func (m *Machine) Matches(c *Checkpoint, live *Live, skip uint32, n int) bool {
+	regions := m.Mem.Regions()
 	if c == nil || m.lastSnap == nil || m.Steps != c.steps || m.EIP != c.eip || m.TSC != c.tsc ||
-		(m.Flags^c.flags)&live.Flags != 0 {
+		len(regions) != len(c.sizes) {
+		return false
+	}
+	lanes, flags := x86.AllLanes, ^uint32(0)
+	if live != nil {
+		lanes, flags = live.Regs, live.Flags
+	}
+	if (m.Flags^c.flags)&flags != 0 {
 		return false
 	}
 	for r, v := range m.Regs {
-		if d := v ^ c.regs[r]; d != 0 && x86.MaskLanes(uint8(r), d)&live.Regs != 0 {
+		if d := v ^ c.regs[r]; d != 0 && x86.MaskLanes(uint8(r), d)&lanes != 0 {
 			return false
 		}
-	}
-	return m.matchMemory(c, 0, 0, live)
-}
-
-// matchMemory is MatchesMemory, except that with live non-nil a byte of a
-// region live lists may also differ where it is not live.
-func (m *Machine) matchMemory(c *Checkpoint, skip uint32, n int, live *Live) bool {
-	regions := m.Mem.Regions()
-	if m.lastSnap == nil || len(regions) != len(c.sizes) {
-		return false
 	}
 	for i, r := range regions {
 		if len(r.Data) != c.sizes[i] {

@@ -26,9 +26,21 @@ func write8(t *testing.T, m *Machine, addr uint32, v uint32) {
 	}
 }
 
-// converged is the full comparison in the order the engine applies it.
+// converged is the exact comparison the engine makes where no live set
+// relaxes it.
 func converged(m *Machine, c *Checkpoint) bool {
-	return m.MatchesArch(c) && m.MatchesMemory(c, 0, 0)
+	return m.Matches(c, nil, 0, 0)
+}
+
+// archOnly is the live set holding every register lane and EFLAGS bit
+// and no byte of m's regions: Matches under it is the exact compare's
+// architectural half.
+func archOnly(m *Machine) *Live {
+	live := &Live{Regs: x86.AllLanes, Flags: ^uint32(0)}
+	for _, r := range m.Mem.Regions() {
+		live.Mem = append(live.Mem, LivePages{Base: r.Base})
+	}
+	return live
 }
 
 // TestCheckpointPageComparison checks the dirty-page comparison behind
@@ -89,11 +101,11 @@ func TestCheckpointPageComparison(t *testing.T) {
 				c.run(t, run)
 			}
 			cp := shadow.Checkpoint()
-			if !run.MatchesArch(cp) {
+			if !run.Matches(cp, archOnly(run), 0, 0) {
 				t.Fatal("registers differ; the case must differ only in memory")
 			}
-			if got := run.MatchesMemory(cp, 0, 0); got != c.want {
-				t.Errorf("MatchesMemory = %v, want %v", got, c.want)
+			if got := run.Matches(cp, nil, 0, 0); got != c.want {
+				t.Errorf("Matches = %v, want %v", got, c.want)
 			}
 		})
 	}
@@ -139,8 +151,8 @@ func TestCheckpointArchitecturalState(t *testing.T) {
 	if cp := run.Checkpoint(); cp != nil {
 		t.Error("a machine without dirty tracking returned a checkpoint")
 	}
-	if run.MatchesArch(nil) {
-		t.Error("MatchesArch(nil) reported a match")
+	if run.Matches(nil, nil, 0, 0) {
+		t.Error("Matches(nil) reported a match")
 	}
 }
 
@@ -189,19 +201,19 @@ func TestCheckpointPokedSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := shadow.Checkpoint()
-	if !run.MatchesArch(cp) {
+	if !run.Matches(cp, archOnly(run), 0, 0) {
 		t.Fatal("registers differ; the case must differ only in memory")
 	}
-	if run.MatchesMemory(cp, 0, 0) {
+	if run.Matches(cp, nil, 0, 0) {
 		t.Error("a poked byte went unnoticed without a skipped span")
 	}
-	if !run.MatchesMemory(cp, jne, 2) {
+	if !run.Matches(cp, nil, jne, 2) {
 		t.Error("a differing byte inside the poked span was not ignored")
 	}
 	if err := run.Mem.Poke(jne+2, []byte{0x90}); err != nil {
 		t.Fatal(err)
 	}
-	if run.MatchesMemory(cp, jne, 2) {
+	if run.Matches(cp, nil, jne, 2) {
 		t.Error("a differing byte just past the poked span, in the same page, went unnoticed")
 	}
 }
@@ -241,7 +253,9 @@ func TestCheckpointAcrossSnapshots(t *testing.T) {
 // TestCheckpointLiveCompare checks the liveness-relaxed compare: a run may
 // differ from the checkpoint in register lanes, EFLAGS bits and bytes that
 // are not live there, and in nothing that is, whichever machine dirtied
-// the page. A region the live set does not list is compared whole.
+// the page. A region the live set does not list is compared whole. Each
+// row also gives the exact compare's answer, with a nil live set, which
+// holds every location.
 func TestCheckpointLiveCompare(t *testing.T) {
 	// Live: EBX's low lane, CF, stack bytes 0x3010 and 0x3085, and odd's
 	// byte 0x4041 in its short last page. The data region holds no live
@@ -258,39 +272,40 @@ func TestCheckpointLiveCompare(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		shadow, run func(t *testing.T, m *Machine)
-		want        bool
+		want, exact bool
 	}{
-		{"identical", nil, nil, true},
-		{"dead lanes", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 0xff00; m.Regs[x86.ESI] ^= 1 }, true},
-		{"dead flags", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagZF | x86.FlagSF }, true},
+		{"identical", nil, nil, true, true},
+		{"run rewrote the snapshot's byte", nil, func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7); write8(t, m, 0x3010, 0) }, true, true},
+		{"dead lanes", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 0xff00; m.Regs[x86.ESI] ^= 1 }, true, false},
+		{"dead flags", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagZF | x86.FlagSF }, true, false},
 		{"dead bytes on pages only the run dirtied", nil, func(t *testing.T, m *Machine) {
 			write8(t, m, 0x2005, 1)
 			write8(t, m, 0x3011, 1)
 			write8(t, m, 0x3084, 1)
 			write8(t, m, 0x4040, 1)
-		}, true},
+		}, true, false},
 		{"dead bytes on pages only the checkpoint dirtied", func(t *testing.T, m *Machine) {
 			write8(t, m, 0x2005, 1)
 			write8(t, m, 0x30c0, 1)
 			write8(t, m, 0x4063, 1)
-		}, nil, true},
-		{"live lane", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 1 }, false},
-		{"live flag bit", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagCF }, false},
-		{"live byte on a page only the run dirtied", nil, func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, false},
-		{"live byte on a page only the checkpoint dirtied", func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, nil, false},
+		}, nil, true, false},
+		{"live lane", nil, func(t *testing.T, m *Machine) { m.Regs[x86.EBX] ^= 1 }, false, false},
+		{"live flag bit", nil, func(t *testing.T, m *Machine) { m.Flags ^= x86.FlagCF }, false, false},
+		{"live byte on a page only the run dirtied", nil, func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, false, false},
+		{"live byte on a page only the checkpoint dirtied", func(t *testing.T, m *Machine) { write8(t, m, 0x3010, 7) }, nil, false, false},
 		{"live byte past a dead one on a later listed page", nil, func(t *testing.T, m *Machine) {
 			write8(t, m, 0x3011, 1)
 			write8(t, m, 0x3085, 1)
-		}, false},
-		{"live byte in a short last page", func(t *testing.T, m *Machine) { write8(t, m, 0x4041, 1) }, nil, false},
+		}, false, false},
+		{"live byte in a short last page", func(t *testing.T, m *Machine) { write8(t, m, 0x4041, 1) }, nil, false, false},
 		{"byte of an unlisted region", nil, func(t *testing.T, m *Machine) {
 			if err := m.Mem.Poke(0x1000, []byte{0x90}); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
-		{"eip", nil, func(t *testing.T, m *Machine) { m.EIP++ }, false},
-		{"steps", nil, func(t *testing.T, m *Machine) { m.Steps++ }, false},
-		{"tsc", nil, func(t *testing.T, m *Machine) { m.TSC++ }, false},
+		}, false, false},
+		{"eip", nil, func(t *testing.T, m *Machine) { m.EIP++ }, false, false},
+		{"steps", nil, func(t *testing.T, m *Machine) { m.Steps++ }, false, false},
+		{"tsc", nil, func(t *testing.T, m *Machine) { m.TSC++ }, false, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			shadow, run, _ := convergePair(t)
@@ -300,8 +315,12 @@ func TestCheckpointLiveCompare(t *testing.T) {
 			if c.run != nil {
 				c.run(t, run)
 			}
-			if got := run.MatchesLive(shadow.Checkpoint(), live); got != c.want {
-				t.Errorf("MatchesLive = %v, want %v", got, c.want)
+			cp := shadow.Checkpoint()
+			if got := run.Matches(cp, live, 0, 0); got != c.want {
+				t.Errorf("Matches(live) = %v, want %v", got, c.want)
+			}
+			if got := run.Matches(cp, nil, 0, 0); got != c.exact {
+				t.Errorf("Matches(nil) = %v, want %v", got, c.exact)
 			}
 		})
 	}

@@ -7,9 +7,9 @@ import (
 // exec executes one decoded instruction via the legacy monolithic switch.
 // pc is the address of the instruction; m.EIP is advanced here.
 //
-// This path runs every decode the icache does not hold (NoICache machines,
-// the golden shadow) and is the reference semantics the micro-op pipeline
-// is differentially tested against: the warm path binds each decode to a
+// This path runs every decode of a NoICache machine, which no production
+// machine is, and is the reference semantics the micro-op pipeline is
+// differentially tested against: the warm path binds each decode to a
 // handler index once and dispatches through uopTable (see exec_uop.go and
 // the exec_*.go handler families), so this switch never runs per cached
 // retirement.

@@ -21,8 +21,8 @@ const DefaultFuel = 2_000_000
 // whose outcomes the identity tests pin to the path it replaces, so a
 // knob changes speed, never results; the zero value is the production
 // configuration. Tuning is set in process only (vm.Machine and
-// campaign.Config embed it, for the ablation identity tests and the
-// golden shadow); no wire form carries it.
+// campaign.Config embed it, for the ablation identity tests); no wire
+// form carries it.
 type Tuning struct {
 	// NoICache disables the predecoded instruction cache: Step then
 	// fetches and decodes every instruction from memory bytes and
